@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "kv/codec.h"
 #include "util/bytes.h"
 
 namespace damkit::betree {
@@ -120,11 +121,10 @@ class MsgRange {
   size_t count_ = 0;
 };
 
-/// Encode a counter for use with kUpsert payloads/values.
-std::string encode_counter(uint64_t v);
-uint64_t decode_counter(std::string_view v);
-/// Encode a (possibly negative) upsert delta.
-std::string encode_delta(int64_t d);
+/// kUpsert payloads and the values they produce use kv's counter format.
+using kv::decode_counter;
+using kv::encode_counter;
+using kv::encode_delta;
 
 /// Apply one message to the current state of a key (nullopt = absent).
 /// Returns the new state (nullopt = absent/deleted).

@@ -20,6 +20,7 @@
 #include "harness/report.h"            // IWYU pragma: export
 #include "harness/workload_runner.h"   // IWYU pragma: export
 #include "blockdev/byte_arena.h"       // IWYU pragma: export
+#include "kv/codec.h"                  // IWYU pragma: export
 #include "kv/dictionary.h"             // IWYU pragma: export
 #include "kv/engine.h"                 // IWYU pragma: export
 #include "kv/op_apply.h"               // IWYU pragma: export

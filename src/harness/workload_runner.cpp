@@ -104,45 +104,26 @@ PutGetResult run_put_get(kv::Dictionary& dict, const PutGetSpec& spec) {
   DAMKIT_CHECK(spec.key_of != nullptr);
   DAMKIT_CHECK(spec.key_modulus > 0);
   PutGetResult result;
+  // True when the op succeeded; a failure aborts unless tolerated.
+  const auto settle = [&](const Status& status) {
+    if (status.ok()) return true;
+    if (!spec.tolerate_failures) DAMKIT_CHECK_OK(status);
+    ++result.failed_ops;
+    return false;
+  };
   Rng rng(spec.seed);
   const std::string value(spec.value_bytes, 'v');
   for (uint64_t i = 0; i < spec.puts; ++i) {
     const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    if (spec.fallible) {
-      const Status put = dict.try_put(key, value);
-      if (!put.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      }
-    } else {
-      dict.put(key, value);
-    }
+    settle(dict.try_put(key, value));
   }
   for (uint64_t i = 0; i < spec.gets; ++i) {
     const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    if (spec.fallible) {
-      StatusOr<std::optional<std::string>> hit = dict.try_get(key);
-      if (!hit.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      } else if (hit->has_value()) {
-        ++result.get_hits;
-      }
-    } else {
-      if (dict.get(key).has_value()) ++result.get_hits;
-    }
+    StatusOr<std::optional<std::string>> hit = dict.try_get(key);
+    if (settle(hit.status()) && hit->has_value()) ++result.get_hits;
   }
   for (uint64_t i = 0; i < spec.scans; ++i) {
-    if (spec.fallible) {
-      const Status scan =
-          dict.try_range_scan(spec.key_of(0), spec.scan_limit).status();
-      if (!scan.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      }
-    } else {
-      (void)dict.range_scan(spec.key_of(0), spec.scan_limit);
-    }
+    settle(dict.try_range_scan(spec.key_of(0), spec.scan_limit).status());
   }
   return result;
 }

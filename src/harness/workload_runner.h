@@ -34,7 +34,8 @@ namespace damkit::harness {
 // ---------------------------------------------------------------------------
 
 struct WorkloadRunOptions {
-  /// Drive the try_* twins; non-OK ops count as failed instead of aborting.
+  /// Count non-OK ops as failed instead of aborting, and checkpoint with
+  /// retries at the end instead of flush().
   bool fallible = false;
   /// Write back all dirty state after the op stream (charged to the run).
   bool flush_at_end = true;
@@ -112,6 +113,12 @@ class WorkloadRunner {
 
 // ---------------------------------------------------------------------------
 // The legacy fixed loop (bench_smoke, damkit_cli) — byte-exact.
+//
+// This loop stays because no WorkloadSpec expresses it: its callers build
+// keys in their own historical formats (key_of) and write constant 'v'
+// values, where OpGenerator draws kv::encode_key keys and make_value
+// payloads. Retiring it would change the ops bench_smoke runs and so move
+// its simulated-time baseline.
 // ---------------------------------------------------------------------------
 
 struct PutGetSpec {
@@ -126,10 +133,8 @@ struct PutGetSpec {
   /// Scans issued after the gets, each from key_of(0), this many pairs.
   uint64_t scans = 0;
   size_t scan_limit = 0;
-  /// Use try_* twins and CHECK-fail on non-OK (the CLI's fault-free path).
-  bool fallible = false;
-  /// With fallible: count non-OK ops instead of CHECK-failing (the CLI's
-  /// fault-injection path, where surfaced give-ups are expected).
+  /// Count non-OK ops instead of CHECK-failing (the CLI's fault-injection
+  /// path, where surfaced give-ups are expected).
   bool tolerate_failures = false;
 };
 

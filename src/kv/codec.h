@@ -103,4 +103,13 @@ class Reader {
   size_t pos_ = 0;
 };
 
+/// The counter format every Dictionary::upsert operates on: an 8-byte
+/// little-endian unsigned value, absent or non-counter values reading as
+/// zero, arithmetic wrapping around. Upsert deltas use the same encoding.
+std::string encode_counter(uint64_t v);
+uint64_t decode_counter(std::string_view v);
+inline std::string encode_delta(int64_t d) {
+  return encode_counter(static_cast<uint64_t>(d));
+}
+
 }  // namespace damkit::kv

@@ -2,14 +2,15 @@
 // (§5–§8) need: one workload driven against B-tree, Bε-tree, optimized
 // Bε-tree, LSM-tree, and PDAM B-tree under one cost model.
 //
-// Every engine adapter forwards straight to the concrete tree — a call
-// through kv::Dictionary charges exactly the simulated time the direct
-// call would (virtual dispatch is host-side only), so single-engine
-// results are bit-identical to the pre-interface code paths.
+// The trees implement this interface directly, so a call through
+// kv::Dictionary charges exactly the simulated time of the tree's own
+// code path (virtual dispatch is host-side only). Each engine implements
+// only the fallible try_* ops and checkpoint(); the base defines the
+// CHECK-on-error ops and flush once, on top of them, for every engine.
 //
 // Engines differ in what they support natively; the Capabilities
 // descriptor records how each call is realized (e.g. a Bε-tree upsert is
-// a blind message, a B-tree upsert is an emulated read-modify-write with
+// a blind message, a B-tree upsert is the base's read-modify-write with
 // identical counter semantics).
 #pragma once
 
@@ -37,8 +38,6 @@ struct Capabilities {
   /// bulk_load writes each node once, bottom-up. When false the engine
   /// emulates it with an ingest loop (e.g. the LSM memtable path).
   bool native_bulk_load = true;
-  /// range_scan returns key-ordered results (true for every engine).
-  bool ordered_scans = true;
   /// This dictionary routes across shards (see kv::make_sharded_engine).
   bool sharded = false;
   int shard_count = 1;
@@ -46,12 +45,13 @@ struct Capabilities {
 
 /// Abstract ordered key-value dictionary over a simulated device.
 ///
-/// Infallible methods CHECK-abort on unrecoverable device errors (the
-/// non-faulting experiment path); the try_* twins surface a Status after
-/// the engine's retry policy is exhausted and never abort. `flush` /
-/// `checkpoint` are the write-back pair: flush is the infallible full
-/// checkpoint, checkpoint() is one fallible attempt whose failure leaves
-/// the remaining dirty state intact for a retry.
+/// Every op has one implementation: the try_* method, which surfaces a
+/// Status once the engine's retry policy is exhausted and never aborts.
+/// put/get/erase/upsert/range_scan are DAMKIT_CHECK_OK(try_*) and flush
+/// is DAMKIT_CHECK_OK(checkpoint()), for the experiment paths that treat
+/// any device error as fatal. They are virtual only so that decorators
+/// outside the library can observe them; the one override in the library
+/// is wal::DurableEngine::flush (a WAL commit without a snapshot).
 class Dictionary {
  public:
   virtual ~Dictionary();
@@ -64,27 +64,29 @@ class Dictionary {
   virtual std::string_view name() const = 0;
   virtual const Capabilities& capabilities() const = 0;
 
-  virtual void put(std::string_view key, std::string_view value) = 0;
   virtual Status try_put(std::string_view key, std::string_view value) = 0;
+  virtual void put(std::string_view key, std::string_view value);
 
-  virtual std::optional<std::string> get(std::string_view key) = 0;
   virtual StatusOr<std::optional<std::string>> try_get(
       std::string_view key) = 0;
+  virtual std::optional<std::string> get(std::string_view key);
 
   /// Delete (blind: engines that know whether the key existed discard it).
-  virtual void erase(std::string_view key) = 0;
   virtual Status try_erase(std::string_view key) = 0;
+  virtual void erase(std::string_view key);
 
   /// Add `delta` to the 8-byte LE counter stored at `key` (absent = 0,
-  /// wrap-around by design — betree::encode_counter/decode_counter).
-  virtual void upsert(std::string_view key, int64_t delta) = 0;
-  virtual Status try_upsert(std::string_view key, int64_t delta) = 0;
+  /// wrap-around by design — kv::encode_counter/decode_counter). The
+  /// default reads, modifies, and writes through try_get/try_put; engines
+  /// with blind upserts override it.
+  virtual Status try_upsert(std::string_view key, int64_t delta);
+  virtual void upsert(std::string_view key, int64_t delta);
 
   /// Up to `limit` pairs with key >= `lo`, in key order.
-  virtual std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) = 0;
   virtual StatusOr<std::vector<std::pair<std::string, std::string>>>
   try_range_scan(std::string_view lo, size_t limit) = 0;
+  virtual std::vector<std::pair<std::string, std::string>> range_scan(
+      std::string_view lo, size_t limit);
 
   /// Build from `count` items in strictly ascending key order; item(i)
   /// supplies the i-th pair. The dictionary must be empty.
@@ -93,11 +95,12 @@ class Dictionary {
       const std::function<std::pair<std::string, std::string>(uint64_t)>&
           item) = 0;
 
-  /// Write back all dirty state (infallible checkpoint).
-  virtual void flush() = 0;
-  /// One fallible checkpoint attempt: failed extents stay dirty (no data
-  /// loss); calling again retries exactly the remaining set.
+  /// One fallible checkpoint attempt: write back all dirty state. Failed
+  /// extents stay dirty (no data loss); calling again retries exactly the
+  /// remaining set.
   virtual Status checkpoint() = 0;
+  /// DAMKIT_CHECK_OK(checkpoint()).
+  virtual void flush();
 
   /// Crash teardown: drop all dirty in-memory state WITHOUT writing it
   /// back, so a dictionary whose device died can be destroyed without

@@ -29,7 +29,8 @@ struct ApplyCounters {
 };
 
 struct ApplyOptions {
-  /// Drive the try_* twins; non-OK ops count as failed instead of aborting.
+  /// Every op calls its try_* method once. When set, a non-OK status is
+  /// counted in ApplyCounters::failed_ops; otherwise it CHECK-aborts.
   bool fallible = false;
 };
 

@@ -49,7 +49,7 @@ struct ServeConfig {
   uint64_t inflight = 4;
   /// Per-client submission queue bound (producer backpressure).
   size_t queue_capacity = 64;
-  /// Apply ops through the try_* twins (fault-injection runs).
+  /// Count failed ops instead of aborting on them (fault-injection runs).
   bool fallible = false;
 
   /// Builds the replay device: same timing model as the serving device,

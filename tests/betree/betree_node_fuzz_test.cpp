@@ -6,6 +6,7 @@
 
 #include "betree/betree_node.h"
 #include "btree/btree_node.h"
+#include "kv/codec.h"
 #include "kv/slice.h"
 #include "util/rng.h"
 
@@ -29,7 +30,7 @@ TEST_P(NodeFuzzTest, BeTreeLeafScript) {
       m.kind = betree::MessageKind::kTombstone;
     } else {
       m.kind = betree::MessageKind::kUpsert;
-      m.payload = betree::encode_delta(static_cast<int64_t>(rng.uniform(9)));
+      m.payload = kv::encode_delta(static_cast<int64_t>(rng.uniform(9)));
     }
     leaf->leaf_apply(m);
     if (op % 50 == 49) {

@@ -78,8 +78,8 @@ TEST(WorkloadRunnerTest, FallibleRunMatchesInfallibleOnCleanDevice) {
     options.fallible = fallible;
     return runner.run(mixed_spec(), 2000, options);
   };
-  // With no faults the try_* twins return the same data as the infallible
-  // calls, so the observable digest agrees.
+  // With no faults, counting failures and aborting on them drive the same
+  // try_* calls, so the observable digest agrees.
   const harness::WorkloadRunResult direct = run_once(false);
   const harness::WorkloadRunResult checked = run_once(true);
   EXPECT_EQ(direct.digest, checked.digest);
@@ -87,7 +87,7 @@ TEST(WorkloadRunnerTest, FallibleRunMatchesInfallibleOnCleanDevice) {
 }
 
 TEST(WorkloadRunnerTest, RunPutGetCountsHitsAndDrawsDeterministically) {
-  const auto run_once = [](bool fallible) {
+  const auto run_once = [](bool tolerate_failures) {
     sim::SsdDevice dev(sim::testbed_ssd_profile());
     sim::IoContext io(dev);
     const auto dict =
@@ -101,12 +101,12 @@ TEST(WorkloadRunnerTest, RunPutGetCountsHitsAndDrawsDeterministically) {
     spec.key_of = [](uint64_t id) { return strfmt("key%012llu", id); };
     spec.scans = 1;
     spec.scan_limit = 50;
-    spec.fallible = fallible;
+    spec.tolerate_failures = tolerate_failures;
     const harness::PutGetResult result = harness::run_put_get(*dict, spec);
     return std::make_pair(result, io.now());
   };
-  // The loop draws the same RNG stream either way, so the fallible and
-  // infallible paths agree on hits and on simulated time (that equality
+  // The loop draws the same RNG stream either way, so the aborting and
+  // the counting runs agree on hits and on simulated time (that equality
   // is what lets damkit_cli flip --fault-seed without perturbing the
   // fault-free workload).
   const auto [direct, direct_time] = run_once(false);

@@ -263,9 +263,9 @@ std::unique_ptr<sim::Device> make_device(const std::string& spec,
 // composition of them) through the EngineFactory, run a mixed read/write
 // phase, and checkpoint, collecting metrics from every layer it touched.
 // With --fault-seed the device is wrapped in a FaultInjectingDevice and
-// the workload runs through the fallible try_* APIs: every injected fault
-// is either retried away by the engine or surfaced (and counted) as a
-// failed operation — never an abort.
+// failed ops are counted instead of aborting: every injected fault is
+// either retried away by the engine or surfaced (and counted) as a failed
+// operation — never an abort.
 int cmd_metrics(int argc, char** argv) {
   std::string device_spec = "ssd";
   std::string json_path;
@@ -458,7 +458,6 @@ int cmd_metrics(int argc, char** argv) {
     };
     spec.scans = 1;
     spec.scan_limit = 100;
-    spec.fallible = true;
     spec.tolerate_failures = faulty != nullptr;
     const harness::PutGetResult run = harness::run_put_get(*tree, spec);
     get_hits = run.get_hits;
