@@ -1,11 +1,13 @@
 #include "betree/betree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <optional>
 #include <span>
 #include <utility>
 
+#include "kv/merge.h"
 #include "kv/slice.h"
 
 namespace damkit::betree {
@@ -378,53 +380,74 @@ StatusOr<std::optional<std::string>> BeTree::try_get(std::string_view key) {
 
 namespace {
 
-/// Keep only messages whose key is within [lo, hi) (either bound optional),
-/// preserving level structure and order.
-std::vector<std::vector<Message>> filter_pending(
-    const std::vector<std::vector<Message>>& pending, const std::string* lo,
-    const std::string* hi) {
-  std::vector<std::vector<Message>> out;
-  out.reserve(pending.size());
-  for (const auto& level : pending) {
-    std::vector<Message> kept;
-    for (const Message& m : level) {
-      if (lo != nullptr && kv::compare(m.key, *lo) < 0) continue;
-      if (hi != nullptr && kv::compare(m.key, *hi) >= 0) continue;
-      kept.push_back(m);
-    }
-    out.push_back(std::move(kept));
+/// A merge cursor over one of the two sorted runs a leaf scan reads: the
+/// pending messages for the leaf, stepped one same-key group at a time,
+/// or (with `leaf` set) the leaf's entries.
+struct LeafRun {
+  std::span<const Message* const> msgs;
+  const BeTreeNode* leaf;
+  size_t pos;
+
+  bool valid() const {
+    return pos < (leaf != nullptr ? leaf->entry_count() : msgs.size());
   }
-  return out;
-}
+  std::string_view key() const {
+    return leaf != nullptr ? leaf->key(pos) : std::string_view(msgs[pos]->key);
+  }
+  /// One past the last message of the current same-key group.
+  size_t group_end() const {
+    size_t end = pos + 1;
+    while (end < msgs.size() && msgs[end]->key == msgs[pos]->key) ++end;
+    return end;
+  }
+  Status next() {
+    pos = leaf != nullptr ? pos + 1 : group_end();
+    return Status();
+  }
+};
 
 }  // namespace
 
 StatusOr<bool> BeTree::scan_rec(
     uint64_t id, std::string_view lo, size_t limit,
-    const std::vector<std::vector<Message>>& pending,
+    const std::vector<Message>& pending,
     std::vector<std::pair<std::string, std::string>>* out) {
   StatusOr<NodeRef> node_or = try_fetch(id);
   DAMKIT_RETURN_IF_ERROR(node_or.status());
   NodeRef node = *std::move(node_or);
   if (node->is_leaf()) {
-    // Merge leaf entries with pending messages; std::map gives key order.
-    std::map<std::string, std::optional<std::string>> state;
-    for (size_t i = node->lower_bound(lo); i < node->entry_count(); ++i) {
-      state.emplace(node->key(i), node->value(i));
-    }
-    for (auto level = pending.rbegin(); level != pending.rend(); ++level) {
-      for (const Message& m : *level) {
-        auto it = state.find(m.key);
-        std::optional<std::string> base;
-        if (it != state.end()) base = it->second;
-        state[m.key] = apply_message(std::move(base), m);
-      }
-    }
-    for (auto& [k, v] : state) {
-      if (!v.has_value()) continue;
-      if (out->size() >= limit) return true;
-      out->emplace_back(k, std::move(*v));
-    }
+    // The pending messages, stably sorted by key, form one run newer than
+    // the leaf's entries, with each key's messages in apply order.
+    std::vector<const Message*> msgs;
+    msgs.reserve(pending.size());
+    for (const Message& m : pending) msgs.push_back(&m);
+    std::stable_sort(msgs.begin(), msgs.end(),
+                     [](const Message* a, const Message* b) {
+                       return kv::compare(a->key, b->key) < 0;
+                     });
+    std::array<LeafRun, 2> runs{
+        LeafRun{msgs, nullptr, 0},
+        LeafRun{{}, node.get(), node->lower_bound(lo)}};
+    DAMKIT_RETURN_IF_ERROR(kv::merge_runs(
+        runs, [&](size_t winner) -> StatusOr<kv::MergeStep> {
+          const LeafRun& leaf = runs[1];
+          if (winner == 1) {
+            out->emplace_back(leaf.key(), leaf.leaf->value(leaf.pos));
+          } else {
+            const LeafRun& group = runs[0];
+            std::optional<std::string> state;
+            if (leaf.valid() && leaf.key() == group.key()) {
+              state = std::string(leaf.leaf->value(leaf.pos));
+            }
+            for (size_t i = group.pos; i < group.group_end(); ++i) {
+              state = apply_message(std::move(state), *msgs[i]);
+            }
+            if (!state.has_value()) return kv::MergeStep::kNext;
+            out->emplace_back(group.key(), std::move(*state));
+          }
+          return out->size() < limit ? kv::MergeStep::kNext
+                                     : kv::MergeStep::kStop;
+        }));
     return out->size() >= limit;
   }
 
@@ -442,24 +465,19 @@ StatusOr<bool> BeTree::scan_rec(
       prefetched_until = end;
       window = std::min(window * 2, config_.scan_prefetch_window);
     }
-    std::string lo_buf, hi_buf;
-    const std::string* child_lo = nullptr;
-    if (i > 0) {
-      lo_buf = std::string(node->pivot(i - 1));
-      child_lo = &lo_buf;
-    }
-    const std::string* child_hi = nullptr;
-    if (i != node->pivot_count()) {
-      hi_buf = std::string(node->pivot(i));
-      child_hi = &hi_buf;
-    }
-    std::vector<std::vector<Message>> child_pending =
-        filter_pending(pending, child_lo, child_hi);
-    std::vector<Message> mine;
+    // Apply order: this node's buffer holds older messages than the ones
+    // pending from above (messages only move down), so it goes first.
+    std::vector<Message> child_pending;
     for (const MessageView m : node->buffer(i)) {
-      if (kv::compare(m.key, lo) >= 0) mine.push_back(m.to_message());
+      if (kv::compare(m.key, lo) >= 0) child_pending.push_back(m.to_message());
     }
-    child_pending.push_back(std::move(mine));
+    for (const Message& m : pending) {
+      if (i > 0 && kv::compare(m.key, node->pivot(i - 1)) < 0) continue;
+      if (i != node->pivot_count() && kv::compare(m.key, node->pivot(i)) >= 0) {
+        continue;
+      }
+      child_pending.push_back(m);
+    }
     StatusOr<bool> done = scan_rec(node->child(i), lo, limit, child_pending,
                                    out);
     DAMKIT_RETURN_IF_ERROR(done.status());

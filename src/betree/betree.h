@@ -191,11 +191,11 @@ class BeTree : public kv::Dictionary {
   Status fix_root();
   Status collapse_root();
   /// Depth-first range collection merging leaf entries with the pending
-  /// ancestor messages routed to each subtree. Returns true once `limit`
-  /// pairs have been emitted.
+  /// ancestor messages routed to each subtree (`pending` is in apply order,
+  /// oldest first). Returns true once `limit` pairs have been emitted.
   StatusOr<bool> scan_rec(
       uint64_t id, std::string_view lo, size_t limit,
-      const std::vector<std::vector<Message>>& pending,
+      const std::vector<Message>& pending,
       std::vector<std::pair<std::string, std::string>>* out);
 
   bool overflowing(const BeTreeNode& n) const {

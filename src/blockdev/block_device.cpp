@@ -205,53 +205,17 @@ Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
   if (ids.empty()) return Status();
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
-  reqs.reserve(ids.size());
-  std::vector<size_t>& pending = pending_scratch_;  // ids still unserved
-  pending.clear();
-  pending.reserve(ids.size());
   uint64_t total_bytes = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const uint64_t len =
-        compressed_node(ids[i]) ? stored_len(ids[i]) : node_bytes_;
-    reqs.push_back({sim::IoKind::kRead, alloc_.offset_of(ids[i]), len});
+  for (const uint64_t id : ids) {
+    const uint64_t len = compressed_node(id) ? stored_len(id) : node_bytes_;
+    reqs.push_back({sim::IoKind::kRead, alloc_.offset_of(id), len});
     total_bytes += len;
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t i = pending[j];
-      if (per_io[j].ok()) {
-        if (const Status decoded = fetch_payload(ids[i], out[i]);
-            !decoded.ok() && abandoned.ok()) {
-          abandoned = decoded;
-        }
-      } else if (per_io[j].code() == StatusCode::kUnavailable &&
-                 attempt < max_attempts) {
-        failed.push_back(i);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
+      batch_scratch_, [&](size_t i, const Status& s) {
+        return s.ok() ? fetch_payload(ids[i], out[i]) : Status();
+      }));
   ++stats_.read_batches;
   stats_.batched_reads += ids.size();
   stats_.bytes_read += total_bytes;
@@ -272,10 +236,6 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
   if (batch_images_.size() < writes.size()) batch_images_.resize(writes.size());
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
-  reqs.reserve(writes.size());
-  std::vector<size_t>& pending = pending_scratch_;
-  pending.clear();
-  pending.reserve(writes.size());
   uint64_t total_bytes = 0;
   for (size_t i = 0; i < writes.size(); ++i) {
     const std::span<const uint8_t> padded = pad_image(writes[i].image);
@@ -287,50 +247,24 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
     reqs.push_back({sim::IoKind::kWrite, alloc_.offset_of(writes[i].node_id),
                     batch_images_[i].size()});
     total_bytes += batch_images_[i].size();
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t i = pending[j];
-      if (per_io[j].ok()) {
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/true, reqs,
+      batch_scratch_, [&](size_t i, const Status& s) {
+        if (!s.ok()) {
+          // A failed write's payload goes through the device's failure
+          // hook: nothing lands on a transient error, a torn prefix on
+          // kCorruption.
+          dev_->note_failed_write(reqs[i].offset, batch_images_[i]);
+          return Status();
+        }
         dev_->write_bytes(reqs[i].offset, batch_images_[i]);
         if (codec_ != nullptr) {
           set_stored_len(writes[i].node_id, batch_images_[i].size());
         }
         if (written != nullptr) (*written)[i] = true;
-        continue;
-      }
-      // A failed write's payload goes through the device's failure hook:
-      // nothing lands on a transient error, a torn prefix on kCorruption.
-      dev_->note_failed_write(reqs[i].offset, batch_images_[i]);
-      const bool retryable = per_io[j].code() == StatusCode::kUnavailable ||
-                             per_io[j].code() == StatusCode::kCorruption;
-      if (retryable && attempt < max_attempts) {
-        failed.push_back(i);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+        return Status();
+      }));
   ++stats_.write_batches;
   stats_.batched_writes += writes.size();
   stats_.bytes_written += total_bytes;
@@ -345,50 +279,17 @@ Status NodeStore::try_touch_read_batch(std::span<const NodeSpan> spans) {
   if (spans.empty()) return Status();
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
-  reqs.reserve(spans.size());
-  std::vector<size_t>& pending = pending_scratch_;
-  pending.clear();
-  pending.reserve(spans.size());
   uint64_t total_bytes = 0;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const NodeSpan& s = spans[i];
+  for (const NodeSpan& s : spans) {
     DAMKIT_CHECK(s.offset + s.length <= node_bytes_);
     const PhysSpan ps = physical_span(s.node_id, s.offset, s.length);
     reqs.push_back({sim::IoKind::kRead,
                     alloc_.offset_of(s.node_id) + ps.offset, ps.length});
     total_bytes += ps.length;
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      if (per_io[j].ok()) continue;
-      if (per_io[j].code() == StatusCode::kUnavailable &&
-          attempt < max_attempts) {
-        failed.push_back(pending[j]);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
+      batch_scratch_, [](size_t, const Status&) { return Status(); }));
   stats_.bytes_read += total_bytes;
   ++stats_.touch_batches;
   stats_.batched_touches += spans.size();

@@ -210,12 +210,8 @@ class NodeStore {
   std::vector<uint8_t> dec_scratch_;  // stored-image staging for decode
   std::vector<uint8_t> node_scratch_;  // decoded node for span reads
   std::vector<std::vector<uint8_t>> batch_images_;  // batched write staging
-  std::vector<sim::IoRequest> reqs_scratch_;
-  std::vector<sim::IoRequest> batch_scratch_;
-  std::vector<size_t> pending_scratch_;
-  std::vector<size_t> failed_scratch_;
-  std::vector<sim::IoCompletion> cs_scratch_;
-  std::vector<Status> per_io_scratch_;
+  std::vector<sim::IoRequest> reqs_scratch_;  // a batch's requests
+  BatchScratch batch_scratch_;                 // with_batch_retries state
   NodeStoreStats stats_;
   RetryPolicy retry_;
   RetryCounters retry_counters_;

@@ -1,6 +1,7 @@
 #include "kv/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -9,6 +10,7 @@
 
 #include "betree_opt/opt_betree.h"
 #include "blockdev/retry.h"
+#include "kv/merge.h"
 #include "node/slotted_page.h"
 #include "util/bytes.h"
 
@@ -84,9 +86,22 @@ class PdamEngine final : public Dictionary {
 
   StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
       std::string_view lo, size_t limit) override {
-    uint64_t base_consumed = 0;
-    auto out = merged_scan(lo, limit, &base_consumed);
-    DAMKIT_RETURN_IF_ERROR(charge_scan(lo, base_consumed));
+    ++scans_;
+    std::vector<std::pair<std::string, std::string>> out;
+    if (limit == 0) return out;
+    std::array<RunCursor, 2> runs = runs_from(lo);
+    const size_t base_start = runs[1].bi;
+    DAMKIT_RETURN_IF_ERROR(merge_runs(
+        runs, [&](size_t winner) -> StatusOr<MergeStep> {
+          if (winner == 1) {
+            out.emplace_back(base_key(runs[1].bi), base_value(runs[1].bi));
+          } else if (runs[0].di->second.has_value()) {
+            out.emplace_back(runs[0].di->first, *runs[0].di->second);
+          }
+          return out.size() < limit ? MergeStep::kNext : MergeStep::kStop;
+        }));
+    // The base entries the scan read, shadowed ones included.
+    DAMKIT_RETURN_IF_ERROR(charge_scan(lo, runs[1].bi - base_start));
     return out;
   }
 
@@ -230,34 +245,36 @@ class PdamEngine final : public Dictionary {
     return Status();
   }
 
-  std::vector<std::pair<std::string, std::string>> merged_scan(
-      std::string_view lo, size_t limit, uint64_t* base_consumed) {
-    ++scans_;
-    std::vector<std::pair<std::string, std::string>> out;
-    size_t bi = base_rank(lo);
-    auto di = buffer_.lower_bound(std::string(lo));
-    while (out.size() < limit &&
-           (bi < base_.count() || di != buffer_.end())) {
-      const bool take_base =
-          di == buffer_.end() ||
-          (bi < base_.count() && compare(base_key(bi), di->first) < 0);
-      if (take_base) {
-        out.emplace_back(std::string(base_key(bi)),
-                         std::string(base_value(bi)));
+  using Buffer = std::map<std::string, std::optional<std::string>>;
+
+  // A merge cursor over one of the engine's two sorted runs: the write
+  // buffer (newest; nullopt marks a deletion) or the base run.
+  struct RunCursor {
+    const PdamEngine* engine;
+    bool base;
+    size_t bi;                  // base rank, for the base cursor
+    Buffer::const_iterator di;  // buffer position, for the buffer cursor
+
+    bool valid() const {
+      return base ? bi < engine->base_.count() : di != engine->buffer_.end();
+    }
+    std::string_view key() const {
+      return base ? engine->base_key(bi) : std::string_view(di->first);
+    }
+    Status next() {
+      if (base) {
         ++bi;
-        ++*base_consumed;
       } else {
-        if (bi < base_.count() && compare(base_key(bi), di->first) == 0) {
-          ++bi;  // buffer shadows the base entry
-          ++*base_consumed;
-        }
-        if (di->second.has_value()) {
-          out.emplace_back(di->first, *di->second);
-        }
         ++di;
       }
+      return Status();
     }
-    return out;
+  };
+
+  /// The buffer and base cursors, in recency order, both at `lo`.
+  std::array<RunCursor, 2> runs_from(std::string_view lo) const {
+    return {RunCursor{this, false, 0, buffer_.lower_bound(std::string(lo))},
+            RunCursor{this, true, base_rank(lo), {}}};
   }
 
   uint64_t scan_run_bytes(uint64_t base_entries) const {
@@ -283,23 +300,16 @@ class PdamEngine final : public Dictionary {
 
   node::SlottedPage merge_entries() const {
     node::SlottedPage merged;
-    size_t bi = 0;
-    auto di = buffer_.begin();
-    while (bi < base_.count() || di != buffer_.end()) {
-      const bool take_base =
-          di == buffer_.end() ||
-          (bi < base_.count() && compare(base_key(bi), di->first) < 0);
-      if (take_base) {
-        merged.append(base_.record(bi));
-        ++bi;
-      } else {
-        if (bi < base_.count() && compare(base_key(bi), di->first) == 0) ++bi;
-        if (di->second.has_value()) {
-          append_entry(merged, di->first, *di->second);
-        }
-        ++di;
-      }
-    }
+    std::array<RunCursor, 2> runs = runs_from("");
+    DAMKIT_CHECK_OK(
+        merge_runs(runs, [&](size_t winner) -> StatusOr<MergeStep> {
+          if (winner == 1) {
+            merged.append(base_.record(runs[1].bi));
+          } else if (runs[0].di->second.has_value()) {
+            append_entry(merged, runs[0].di->first, *runs[0].di->second);
+          }
+          return MergeStep::kNext;
+        }));
     return merged;
   }
 
@@ -343,7 +353,7 @@ class PdamEngine final : public Dictionary {
   PdamEngineConfig cfg_;
 
   node::SlottedPage base_;  // sorted flat run of wire-format records
-  std::map<std::string, std::optional<std::string>> buffer_;  // nullopt = del
+  Buffer buffer_;  // nullopt = deleted
   uint64_t buffer_bytes_ = 0;
   std::unique_ptr<pdam_tree::PdamBTree> index_;
 

@@ -1,8 +1,8 @@
 #include "kv/sharded_engine.h"
 
 #include <algorithm>
-#include <queue>
 
+#include "kv/merge.h"
 #include "util/table.h"
 
 namespace damkit::kv {
@@ -69,40 +69,27 @@ Status ShardedEngine::try_upsert(std::string_view key, int64_t delta) {
 
 namespace {
 
-// Ordered k-way merge of per-shard scan results, truncated to `limit`.
-// Shards partition the key space, so no key appears twice.
-std::vector<std::pair<std::string, std::string>> merge_scans(
-    std::vector<std::vector<std::pair<std::string, std::string>>> runs,
-    size_t limit) {
-  using Head = std::pair<std::string_view, size_t>;  // next key, run index
-  const auto greater = [](const Head& a, const Head& b) {
-    return a.first > b.first;
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
-      greater);
-  std::vector<size_t> cursor(runs.size(), 0);
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r].empty()) heap.emplace(runs[r][0].first, r);
+using ScanRun = std::vector<std::pair<std::string, std::string>>;
+
+// A merge cursor over one shard's scan result.
+struct ScanCursor {
+  ScanRun* run;
+  size_t pos = 0;
+
+  bool valid() const { return pos < run->size(); }
+  std::string_view key() const { return (*run)[pos].first; }
+  Status next() {
+    ++pos;
+    return Status();
   }
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(std::min(limit, static_cast<size_t>(64)));
-  while (out.size() < limit && !heap.empty()) {
-    const size_t r = heap.top().second;
-    heap.pop();
-    out.push_back(std::move(runs[r][cursor[r]]));
-    if (++cursor[r] < runs[r].size()) {
-      heap.emplace(runs[r][cursor[r]].first, r);
-    }
-  }
-  return out;
-}
+};
 
 }  // namespace
 
 StatusOr<std::vector<std::pair<std::string, std::string>>>
 ShardedEngine::try_range_scan(std::string_view lo, size_t limit) {
   if (inner_.size() == 1) return inner_[0]->try_range_scan(lo, limit);
-  std::vector<std::vector<std::pair<std::string, std::string>>> runs;
+  std::vector<ScanRun> runs;
   runs.reserve(inner_.size());
   if (cfg_.partition == ShardedConfig::Partition::kRange) {
     // Later shards only matter if earlier ones run dry before `limit`.
@@ -120,7 +107,20 @@ ShardedEngine::try_range_scan(std::string_view lo, size_t limit) {
       runs.push_back(*std::move(run));
     }
   }
-  return merge_scans(std::move(runs), limit);
+  // Merge the ordered shard results up to `limit`. Shards partition the
+  // key space, so no key appears twice.
+  std::vector<std::pair<std::string, std::string>> out;
+  if (limit == 0) return out;
+  std::vector<ScanCursor> cursors;
+  cursors.reserve(runs.size());
+  for (ScanRun& run : runs) cursors.push_back({&run});
+  DAMKIT_RETURN_IF_ERROR(merge_runs(
+      cursors, [&](size_t winner) -> StatusOr<MergeStep> {
+        auto& [key, value] = (*cursors[winner].run)[cursors[winner].pos];
+        out.emplace_back(key, std::move(value));
+        return out.size() < limit ? MergeStep::kNext : MergeStep::kStop;
+      }));
+  return out;
 }
 
 void ShardedEngine::bulk_load(

@@ -2,10 +2,58 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "kv/merge.h"
 #include "kv/slice.h"
 
 namespace damkit::lsm {
+
+namespace {
+
+// One sorted run of a kv::merge_runs: the memtable, one table, or (with
+// `level` set) a level run that continues into its next table, opened by
+// `seek(table)`.
+template <typename Seek>
+struct RunCursor {
+  const MemTable::Map* mem = nullptr;
+  MemTable::Map::const_iterator mem_it{};
+  std::optional<SSTable::Iterator> it{};
+  const std::vector<SSTableRef>* level = nullptr;
+  size_t table_idx = 0;
+  const Seek* seek = nullptr;
+
+  bool valid() const {
+    return mem != nullptr ? mem_it != mem->end() : it->valid();
+  }
+  std::string_view key() const {
+    return mem != nullptr ? std::string_view(mem_it->first)
+                          : std::string_view(it->entry().key);
+  }
+  std::string_view value() const {
+    return mem != nullptr ? std::string_view(mem_it->second.value)
+                          : std::string_view(it->entry().value);
+  }
+  bool tombstone() const {
+    return mem != nullptr ? mem_it->second.tombstone : it->entry().tombstone;
+  }
+  Status next() {
+    if (mem != nullptr) {
+      ++mem_it;
+      return Status();
+    }
+    it->next();
+    DAMKIT_RETURN_IF_ERROR(it->status());
+    while (level != nullptr && !it->valid() &&
+           table_idx + 1 < level->size()) {
+      it.emplace((*seek)(*(*level)[++table_idx]));
+      DAMKIT_RETURN_IF_ERROR(it->status());
+    }
+    return Status();
+  }
+};
+
+}  // namespace
 
 LsmTree::LsmTree(sim::Device& dev, sim::IoContext& io, LsmConfig config)
     : dev_(&dev),
@@ -163,44 +211,21 @@ Status LsmTree::compact_tier(size_t level) {
   return Status();
 }
 
-Status LsmTree::charge_compaction_batches(std::vector<sim::IoRequest> reqs) {
-  std::vector<sim::IoCompletion> completions;
-  std::vector<Status> per_io;
+Status LsmTree::charge_compaction_batches(
+    std::span<const sim::IoRequest> reqs) {
+  blockdev::BatchScratch scratch;
   const size_t width = std::max<size_t>(config_.compaction_batch_ios, 1);
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
   for (size_t i = 0; i < reqs.size(); i += width) {
-    const size_t n = std::min(width, reqs.size() - i);
-    std::vector<sim::IoRequest> batch(
-        reqs.begin() + static_cast<ptrdiff_t>(i),
-        reqs.begin() + static_cast<ptrdiff_t>(i + n));
+    const std::span<const sim::IoRequest> batch =
+        reqs.subspan(i, std::min(width, reqs.size() - i));
     ++stats_.compaction_batches;
     stats_.compaction_batched_ios += batch.size();
-    double backoff = static_cast<double>(retry_.backoff_ns);
-    for (uint32_t attempt = 1;; ++attempt) {
-      DAMKIT_RETURN_IF_ERROR(
-          io_->submit_batch_checked(batch, &completions, &per_io));
-      // Re-batch only the transiently-failed requests; anything that
-      // exhausted its attempts (or failed non-transiently) abandons the
-      // compaction.
-      std::vector<sim::IoRequest> failed;
-      Status abandoned;
-      for (size_t j = 0; j < batch.size(); ++j) {
-        if (per_io[j].ok()) continue;
-        if (per_io[j].code() == StatusCode::kUnavailable &&
-            attempt < max_attempts) {
-          failed.push_back(batch[j]);
-        } else {
-          ++retry_counters_.give_ups;
-          if (abandoned.ok()) abandoned = per_io[j];
-        }
-      }
-      DAMKIT_RETURN_IF_ERROR(abandoned);
-      if (failed.empty()) break;
-      io_->spend(static_cast<sim::SimTime>(backoff));
-      backoff *= retry_.backoff_multiplier;
-      retry_counters_.retries += failed.size();
-      batch = std::move(failed);
-    }
+    // Re-batch only the transiently-failed requests; anything that
+    // exhausted its attempts (or failed non-transiently) abandons the
+    // compaction.
+    DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
+        *io_, retry_, &retry_counters_, /*retry_corruption=*/false, batch,
+        scratch, [](size_t, const Status&) { return Status(); }));
   }
   return Status();
 }
@@ -240,18 +265,21 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
           if (round < runs.size()) interleaved.push_back(runs[round]);
         }
       }
-      DAMKIT_RETURN_IF_ERROR(
-          charge_compaction_batches(std::move(interleaved)));
+      DAMKIT_RETURN_IF_ERROR(charge_compaction_batches(interleaved));
       precharged = true;
     }
   }
 
   // K-way merge, recency = input order (lower index shadows higher).
-  struct Cursor {
-    SSTable::Iterator it;
-    size_t priority;
+  const auto seek = [&](const SSTable& table) {
+    return table.seek("", *io_, config_.scan_readahead_blocks,
+                      /*charge_io=*/!precharged, &retry_, &retry_counters_);
   };
-  std::vector<Cursor> cursors;
+  std::vector<RunCursor<decltype(seek)>> cursors;
+  for (const SSTableRef& t : inputs) {
+    cursors.push_back({.it = seek(*t)});
+    DAMKIT_RETURN_IF_ERROR(cursors.back().it->status());
+  }
   std::vector<SSTableRef> outputs;
   // Transactional failure: on a non-OK status, release every output
   // written so far and leave the inputs untouched, so the pre-merge tree
@@ -264,63 +292,31 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
     return s;
   };
 
-  cursors.reserve(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    SSTable::Iterator it = inputs[i]->seek(
-        "", *io_, config_.scan_readahead_blocks,
-        /*charge_io=*/!precharged, &retry_, &retry_counters_);
-    if (!it.valid()) DAMKIT_RETURN_IF_ERROR(abort_merge(it.status()));
-    if (it.valid()) cursors.push_back({std::move(it), i});
-  }
-
   std::unique_ptr<SSTableBuilder> builder;
-  auto emit = [&](Entry e) -> Status {
-    if (bottom && e.tombstone) return Status();  // tombstones die at bottom
-    if (!builder) {
-      builder = std::make_unique<SSTableBuilder>(
-          *dev_, *io_, arena_, config_.block_bytes,
-          config_.bloom_bits_per_key, next_sequence_++, codec_.get());
-    }
-    builder->add(std::move(e));
-    if (split_output &&
-        builder->data_bytes() >= config_.sstable_target_bytes) {
-      StatusOr<SSTableRef> table = builder->try_finish(retry_, &retry_counters_);
-      DAMKIT_RETURN_IF_ERROR(table.status());
-      outputs.push_back(*std::move(table));
-      builder.reset();
-    }
-    return Status();
-  };
-
-  while (!cursors.empty()) {
-    // Find the smallest key; among equals, the lowest priority (newest).
-    size_t best = 0;
-    for (size_t i = 1; i < cursors.size(); ++i) {
-      const int c = kv::compare(cursors[i].it.entry().key,
-                                cursors[best].it.entry().key);
-      if (c < 0 || (c == 0 && cursors[i].priority < cursors[best].priority)) {
-        best = i;
-      }
-    }
-    Entry winner = cursors[best].it.entry().to_entry();
-    // Advance every cursor positioned at this key (shadowed versions).
-    for (size_t i = 0; i < cursors.size();) {
-      if (kv::compare(cursors[i].it.entry().key, winner.key) == 0) {
-        cursors[i].it.next();
-        if (!cursors[i].it.valid()) {
-          // An exhausted cursor is fine; one that stopped on a read
-          // give-up aborts the merge (silently dropping its remaining
-          // entries would lose data).
-          DAMKIT_RETURN_IF_ERROR(abort_merge(cursors[i].it.status()));
-          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(i));
-          continue;
+  // A cursor that stops on a read give-up fails the merge (silently
+  // dropping its remaining entries would lose data).
+  const Status merged = kv::merge_runs(
+      cursors, [&](size_t winner) -> StatusOr<kv::MergeStep> {
+        const EntryView& e = cursors[winner].it->entry();
+        // Tombstones die at the bottom level.
+        if (bottom && e.tombstone) return kv::MergeStep::kNext;
+        if (!builder) {
+          builder = std::make_unique<SSTableBuilder>(
+              *dev_, *io_, arena_, config_.block_bytes,
+              config_.bloom_bits_per_key, next_sequence_++, codec_.get());
         }
-      }
-      ++i;
-    }
-    const Status emitted = emit(std::move(winner));
-    DAMKIT_RETURN_IF_ERROR(abort_merge(emitted));
-  }
+        builder->add(e.to_entry());
+        if (split_output &&
+            builder->data_bytes() >= config_.sstable_target_bytes) {
+          StatusOr<SSTableRef> table =
+              builder->try_finish(retry_, &retry_counters_);
+          DAMKIT_RETURN_IF_ERROR(table.status());
+          outputs.push_back(*std::move(table));
+          builder.reset();
+        }
+        return kv::MergeStep::kNext;
+      });
+  DAMKIT_RETURN_IF_ERROR(abort_merge(merged));
   if (builder) {
     StatusOr<SSTableRef> last = builder->try_finish(retry_, &retry_counters_);
     DAMKIT_RETURN_IF_ERROR(abort_merge(last.status()));
@@ -493,125 +489,42 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
   std::vector<std::pair<std::string, std::string>> out;
   if (limit == 0) return out;
 
-  // A cursor per source; priority orders recency (lower = newer).
-  struct Source {
-    // Either a memtable iterator...
-    const MemTable::Map* mem = nullptr;
-    MemTable::Map::const_iterator mem_it;
-    // ...or a level run (sequence of tables + an open table iterator).
-    const Level* level = nullptr;
-    size_t table_idx = 0;
-    std::unique_ptr<SSTable::Iterator> it;
-    size_t priority = 0;
-
-    bool valid() const {
-      return mem != nullptr ? mem_it != mem->end()
-                            : (it != nullptr && it->valid());
-    }
-    std::string_view key() const {
-      return mem != nullptr ? std::string_view(mem_it->first)
-                            : std::string_view(it->entry().key);
-    }
+  // One run per source, newest first: the memtable, each overlapping
+  // table, then each sorted level.
+  const auto seek = [&](const SSTable& table) {
+    return table.seek(lo, *io_, config_.scan_readahead_blocks,
+                      /*charge_io=*/true, &retry_, &retry_counters_);
   };
-
-  std::vector<Source> sources;
-  size_t priority = 0;
-  {
-    Source s;
-    s.mem = &mem_.entries();
-    s.mem_it = mem_.entries().lower_bound(lo);
-    s.priority = priority++;
-    if (s.valid()) sources.push_back(std::move(s));
-  }
+  std::vector<RunCursor<decltype(seek)>> runs;
+  runs.push_back({.mem = &mem_.entries(),
+                  .mem_it = mem_.entries().lower_bound(lo)});
   const size_t overlapping_levels =
       (config_.style == CompactionStyle::kTiered) ? levels_.size() : 1;
   for (size_t i = 0; i < overlapping_levels; ++i) {
     for (const auto& t : levels_[i]) {
-      Source s;
-      s.priority = priority++;
-      if (kv::compare(t->max_key(), lo) >= 0) {
-        s.it = std::make_unique<SSTable::Iterator>(
-            t->seek(lo, *io_, config_.scan_readahead_blocks,
-                    /*charge_io=*/true, &retry_, &retry_counters_));
-        DAMKIT_RETURN_IF_ERROR(s.it->status());
-        if (s.it->valid()) sources.push_back(std::move(s));
-      }
+      if (kv::compare(t->max_key(), lo) < 0) continue;
+      runs.push_back({.it = seek(*t)});
+      DAMKIT_RETURN_IF_ERROR(runs.back().it->status());
     }
   }
   for (size_t i = overlapping_levels; i < levels_.size(); ++i) {
     const Level& lv = levels_[i];
-    Source s;
-    s.level = &lv;
-    s.priority = priority++;
     // First table whose max_key >= lo.
     size_t idx = 0;
     while (idx < lv.size() && kv::compare(lv[idx]->max_key(), lo) < 0) ++idx;
     if (idx == lv.size()) continue;
-    s.table_idx = idx;
-    s.it = std::make_unique<SSTable::Iterator>(
-        lv[idx]->seek(lo, *io_, config_.scan_readahead_blocks,
-                      /*charge_io=*/true, &retry_, &retry_counters_));
-    DAMKIT_RETURN_IF_ERROR(s.it->status());
-    if (s.it->valid()) sources.push_back(std::move(s));
+    runs.push_back(
+        {.it = seek(*lv[idx]), .level = &lv, .table_idx = idx, .seek = &seek});
+    DAMKIT_RETURN_IF_ERROR(runs.back().it->status());
   }
 
-  auto advance = [&](Source& s) -> Status {
-    if (s.mem != nullptr) {
-      ++s.mem_it;
-      return Status();
-    }
-    s.it->next();
-    DAMKIT_RETURN_IF_ERROR(s.it->status());
-    // A level run continues into the next table.
-    while (s.level != nullptr && !s.it->valid() &&
-           s.table_idx + 1 < s.level->size()) {
-      ++s.table_idx;
-      s.it = std::make_unique<SSTable::Iterator>(
-          (*s.level)[s.table_idx]->seek(lo, *io_,
-                                        config_.scan_readahead_blocks,
-                                        /*charge_io=*/true, &retry_,
-                                        &retry_counters_));
-      DAMKIT_RETURN_IF_ERROR(s.it->status());
-    }
-    return Status();
-  };
-
-  while (out.size() < limit) {
-    // Smallest key; ties resolved by recency.
-    int best = -1;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i].valid()) continue;
-      if (best < 0) {
-        best = static_cast<int>(i);
-        continue;
-      }
-      const int c = kv::compare(sources[i].key(),
-                                sources[static_cast<size_t>(best)].key());
-      if (c < 0 || (c == 0 && sources[i].priority <
-                                  sources[static_cast<size_t>(best)].priority)) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    Source& winner = sources[static_cast<size_t>(best)];
-    const std::string key(winner.key());
-    std::string value;
-    bool tombstone;
-    if (winner.mem != nullptr) {
-      value = winner.mem_it->second.value;
-      tombstone = winner.mem_it->second.tombstone;
-    } else {
-      value = winner.it->entry().value;
-      tombstone = winner.it->entry().tombstone;
-    }
-    // Skip every shadowed version of this key.
-    for (auto& s : sources) {
-      while (s.valid() && kv::compare(s.key(), key) == 0) {
-        DAMKIT_RETURN_IF_ERROR(advance(s));
-      }
-    }
-    if (!tombstone) out.emplace_back(key, std::move(value));
-  }
+  DAMKIT_RETURN_IF_ERROR(kv::merge_runs(
+      runs, [&](size_t winner) -> StatusOr<kv::MergeStep> {
+        const auto& run = runs[winner];
+        if (!run.tombstone()) out.emplace_back(run.key(), run.value());
+        return out.size() < limit ? kv::MergeStep::kNext
+                                  : kv::MergeStep::kStop;
+      }));
   return out;
 }
 

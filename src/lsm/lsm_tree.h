@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -174,7 +175,7 @@ class LsmTree final : public kv::Dictionary {
       bool split_output = true);
   /// Charge `reqs` as device batches of `compaction_batch_ios`, retrying
   /// failed requests under the retry policy.
-  Status charge_compaction_batches(std::vector<sim::IoRequest> reqs);
+  Status charge_compaction_batches(std::span<const sim::IoRequest> reqs);
   uint64_t level_capacity(size_t level) const;
   void install_level1plus(size_t level, std::vector<SSTableRef> added,
                           const std::vector<SSTableRef>& removed);
