@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "betree/betree_node.h"
-#include "blockdev/block_device.h"
-#include "cache/buffer_pool.h"
+#include "cache/node_cache.h"
 #include "kv/dictionary.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
@@ -72,7 +71,6 @@ struct BeTreeOpStats {
 class BeTree : public kv::Dictionary {
  public:
   BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config);
-  ~BeTree() override;
 
   std::string_view name() const override { return "betree"; }
   /// Upserts are blind messages; bulk_load is native.
@@ -109,22 +107,26 @@ class BeTree : public kv::Dictionary {
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() override { pool_->discard_all(); }
+  void abandon() override { cache_.abandon(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    store_.set_retry_policy(policy);
+    cache_.set_retry_policy(policy);
   }
   blockdev::RetryCounters retry_counters() const override {
-    return store_.retry_counters();
+    return cache_.retry_counters();
   }
 
   size_t height() const override { return height_; }
-  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
+  double cache_hit_rate() const override {
+    return cache_.pool().stats().hit_rate();
+  }
   size_t target_fanout() const { return fanout_; }
-  uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
+  uint64_t nodes_in_use() const { return cache_.store().nodes_in_use(); }
   const BeTreeOpStats& op_stats() const { return op_stats_; }
-  const cache::BufferPoolStats& cache_stats() const { return pool_->stats(); }
+  const cache::BufferPoolStats& cache_stats() const {
+    return cache_.pool().stats();
+  }
   const BeTreeConfig& config() const { return config_; }
   sim::IoContext& io() { return *io_; }
 
@@ -140,9 +142,11 @@ class BeTree : public kv::Dictionary {
     return flushes_by_depth_;
   }
 
-  /// Structured-event sink for flush events (nullptr disables).
+  /// Structured-event sink for flush events and the cache's
+  /// evict/writeback events (nullptr disables).
   void set_event_trace(stats::TraceBuffer* events) override {
     events_ = events;
+    cache_.set_event_trace(events);
   }
 
   /// Export op counters, per-depth flush counts (`<prefix>flushes.depth<d>`),
@@ -161,17 +165,10 @@ class BeTree : public kv::Dictionary {
 
   /// Fetch for structural/mutating access (whole-node IO on miss).
   /// Subclasses may refine the IO accounting (see OptBeTree).
-  virtual StatusOr<NodeRef> try_fetch(uint64_t id);
-  /// CHECK-on-error wrapper around try_fetch (legacy/invariant paths).
-  NodeRef fetch(uint64_t id);
-  /// Batch-read children [begin, end) of `node` that are not yet cached
-  /// (one vectored device IO), inserting them clean and fully resident.
-  Status prefetch_children(const BeTreeNode& node, size_t begin, size_t end);
+  virtual StatusOr<NodeRef> try_fetch(uint64_t id) { return cache_.fetch(id); }
   /// Additional flush pressure beyond whole-node overflow. The optimized
   /// Bε-tree caps per-child buffers at B/F (Theorem 9) by overriding this.
   virtual bool flush_pressure(const BeTreeNode& node) const;
-  void install_new(uint64_t id, NodeRef node);
-  void mark_dirty(uint64_t id) { pool_->mark_dirty(id); }
 
   Status root_add(Message msg);
   /// Restore size/fanout invariants at (id, node); any splits that the
@@ -206,12 +203,10 @@ class BeTree : public kv::Dictionary {
   void check_subtree(uint64_t id, const std::string* lo, const std::string* hi,
                      size_t depth, size_t leaf_depth, uint64_t* live);
 
-  sim::Device* dev_;
   sim::IoContext* io_;
   BeTreeConfig config_;
   size_t fanout_;
-  blockdev::NodeStore store_;
-  std::unique_ptr<cache::BufferPool> pool_;
+  cache::NodeCache<BeTreeNode> cache_;
 
   uint64_t root_ = kInvalidNode;
   size_t height_ = 0;
@@ -219,7 +214,6 @@ class BeTree : public kv::Dictionary {
   std::vector<uint64_t> flushes_by_depth_;  // index = flushing node's depth
   stats::TraceBuffer* events_ = nullptr;
   size_t round_robin_cursor_ = 0;
-  std::vector<uint8_t> io_buf_;
 };
 
 }  // namespace damkit::betree

@@ -1,7 +1,6 @@
 #include "betree/betree_node.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "kv/codec.h"
 #include "kv/slice.h"
@@ -12,33 +11,6 @@ namespace damkit::betree {
 namespace {
 
 constexpr uint32_t kMagic = 0x4245544e;  // "BETN"
-
-size_t leaf_record_len(const uint8_t* p) {
-  return size_t{6} + load_u16(p) + load_u32(p + 2);
-}
-
-size_t pivot_record_len(const uint8_t* p) { return size_t{2} + load_u16(p); }
-
-std::string_view leaf_record_key(std::string_view rec) {
-  return rec.substr(6, load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
-}
-
-std::string_view pivot_record_key(std::string_view rec) {
-  return rec.substr(2);
-}
-
-void encode_leaf_record(uint8_t* p, std::string_view key,
-                        std::string_view value) {
-  store_u16(p, static_cast<uint16_t>(key.size()));
-  store_u32(p + 2, static_cast<uint32_t>(value.size()));
-  std::memcpy(p + 6, key.data(), key.size());
-  std::memcpy(p + 6 + key.size(), value.data(), value.size());
-}
-
-void encode_pivot_record(uint8_t* p, std::string_view key) {
-  store_u16(p, static_cast<uint16_t>(key.size()));
-  std::memcpy(p + 2, key.data(), key.size());
-}
 
 }  // namespace
 
@@ -55,7 +27,7 @@ std::shared_ptr<BeTreeNode> BeTreeNode::make_internal() {
 }
 
 size_t BeTreeNode::lower_bound(std::string_view key) const {
-  return page_.lower_bound(key, leaf_record_key);
+  return page_.lower_bound(key, node::leaf_record::key);
 }
 
 bool BeTreeNode::key_equals(size_t i, std::string_view key) const {
@@ -74,11 +46,11 @@ void BeTreeNode::leaf_apply(const Message& msg) {
     if (present) {
       uint8_t* p = page_.replace_alloc(
           i, leaf_entry_bytes(msg.key.size(), next->size()));
-      encode_leaf_record(p, msg.key, *next);
+      node::leaf_record::encode(p, msg.key, *next);
     } else {
       uint8_t* p = page_.insert_alloc(
           i, leaf_entry_bytes(msg.key.size(), next->size()));
-      encode_leaf_record(p, msg.key, *next);
+      node::leaf_record::encode(p, msg.key, *next);
     }
   } else if (present) {
     page_.erase(i);
@@ -91,12 +63,12 @@ void BeTreeNode::leaf_append(std::string_view key, std::string_view value) {
                kv::compare(this->key(page_.count() - 1), key) < 0);
   uint8_t* p = page_.insert_alloc(page_.count(),
                                   leaf_entry_bytes(key.size(), value.size()));
-  encode_leaf_record(p, key, value);
+  node::leaf_record::encode(p, key, value);
 }
 
 size_t BeTreeNode::child_index(std::string_view key) const {
   DAMKIT_CHECK(!is_leaf_);
-  return pivots_.upper_bound(key, pivot_record_key);
+  return pivots_.upper_bound(key, node::pivot_record::key);
 }
 
 void BeTreeNode::internal_init(uint64_t first_child) {
@@ -111,7 +83,7 @@ void BeTreeNode::internal_insert(size_t child_idx, std::string_view pivot,
   DAMKIT_CHECK(!is_leaf_);
   DAMKIT_CHECK(child_idx < children_.size());
   uint8_t* p = pivots_.insert_alloc(child_idx, pivot_bytes(pivot.size()));
-  encode_pivot_record(p, pivot);
+  node::pivot_record::encode(p, pivot);
   children_.insert(children_.begin() + static_cast<ptrdiff_t>(child_idx) + 1,
                    right_child);
   segments_.insert(segments_.begin() + static_cast<ptrdiff_t>(child_idx) + 1,
@@ -268,7 +240,7 @@ std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
   if (leaf) {
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(), count,
-                                  leaf_record_len);
+                                  node::leaf_record::length);
     return node;
   }
   // Internal layout: per child [u64 child][u32 msg count][msg records...],
@@ -301,7 +273,7 @@ std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
   }
   node->pivots_.build_from_prefix(base + off, size - off,
                                   count == 0 ? 0 : count - 1,
-                                  pivot_record_len);
+                                  node::pivot_record::length);
   return node;
 }
 

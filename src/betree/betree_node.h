@@ -25,6 +25,7 @@
 
 #include "betree/message.h"
 #include "kv/slice.h"
+#include "node/records.h"
 #include "node/slotted_page.h"
 
 namespace damkit::betree {
@@ -63,12 +64,10 @@ class BeTreeNode {
   // --- Leaf interface (views are invalidated by any mutation) ---
   size_t entry_count() const { return page_.count(); }
   kv::Slice key(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6, rec_klen(rec));
+    return node::leaf_record::key(page_.record(i));
   }
   kv::Slice value(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6 + rec_klen(rec));
+    return node::leaf_record::value(page_.record(i));
   }
   size_t lower_bound(std::string_view key) const;
   bool key_equals(size_t i, std::string_view key) const;
@@ -80,7 +79,9 @@ class BeTreeNode {
   size_t child_count() const { return children_.size(); }
   uint64_t child(size_t i) const { return children_[i]; }
   size_t pivot_count() const { return pivots_.count(); }
-  kv::Slice pivot(size_t i) const { return pivots_.record(i).substr(2); }
+  kv::Slice pivot(size_t i) const {
+    return node::pivot_record::key(pivots_.record(i));
+  }
   size_t child_index(std::string_view key) const;
 
   void internal_init(uint64_t first_child);
@@ -137,18 +138,16 @@ class BeTreeNode {
 
   static uint64_t header_bytes() { return 4 + 1 + 4; }
   static uint64_t leaf_entry_bytes(size_t klen, size_t vlen) {
-    return 2 + 4 + klen + vlen;
+    return node::leaf_record::bytes(klen, vlen);
   }
-  static uint64_t pivot_bytes(size_t klen) { return 2 + klen; }
+  static uint64_t pivot_bytes(size_t klen) {
+    return node::pivot_record::bytes(klen);
+  }
   /// Per-child fixed cost: child id (8) + buffer count (4).
   static uint64_t child_bytes() { return 12; }
 
  private:
   BeTreeNode() = default;
-
-  static uint16_t rec_klen(std::string_view rec) {
-    return load_u16(reinterpret_cast<const uint8_t*>(rec.data()));
-  }
 
   /// One child's pending messages, packed in wire format (append-only;
   /// the serialized image embeds the bytes verbatim).
@@ -158,8 +157,8 @@ class BeTreeNode {
   };
 
   bool is_leaf_ = true;
-  node::SlottedPage page_;    // leaf [u16 klen][u32 vlen][key][value] records
-  node::SlottedPage pivots_;  // internal [u16 klen][key] records
+  node::SlottedPage page_;    // leaf: node::leaf_record records
+  node::SlottedPage pivots_;  // internal: node::pivot_record records
   std::vector<uint64_t> children_;
   std::vector<MsgSegment> segments_;  // parallel to children_
   uint64_t total_buffer_bytes_ = 0;

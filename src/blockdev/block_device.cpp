@@ -54,7 +54,7 @@ void NodeStore::encode_image(std::span<const uint8_t> padded,
   if (out.size() >= node_bytes_) out.assign(padded.begin(), padded.end());
 }
 
-Status NodeStore::fetch_payload(uint64_t node_id, std::vector<uint8_t>& out) {
+Status NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
   const uint64_t offset = alloc_.offset_of(node_id);
   if (!compressed_node(node_id)) {
     out.resize(node_bytes_);
@@ -68,15 +68,6 @@ Status NodeStore::fetch_payload(uint64_t node_id, std::vector<uint8_t>& out) {
                               ": stored codec frame failed to decode");
   }
   return Status();
-}
-
-// The legacy void methods delegate to the try_* implementations: on an
-// infallible device the two are byte- and clock-identical, and on a
-// faulty device the legacy path aborts only after the shared retry
-// policy is exhausted (callers that can handle errors use try_*).
-
-void NodeStore::read_node(uint64_t node_id, std::vector<uint8_t>& out) {
-  DAMKIT_CHECK_OK(try_read_node(node_id, out));
 }
 
 Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
@@ -108,10 +99,6 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   return Status();
 }
 
-void NodeStore::write_node(uint64_t node_id, std::span<const uint8_t> image) {
-  DAMKIT_CHECK_OK(try_write_node(node_id, image));
-}
-
 Status NodeStore::try_write_node(uint64_t node_id,
                                  std::span<const uint8_t> image) {
   // Whole-extent write: pad the image so the device sees a node_bytes IO.
@@ -141,11 +128,6 @@ Status NodeStore::try_write_node(uint64_t node_id,
   return Status();
 }
 
-void NodeStore::read_span(uint64_t node_id, uint64_t offset,
-                          std::span<uint8_t> out) {
-  DAMKIT_CHECK_OK(try_read_span(node_id, offset, out));
-}
-
 Status NodeStore::try_read_span(uint64_t node_id, uint64_t offset,
                                 std::span<uint8_t> out) {
   DAMKIT_CHECK(offset + out.size() <= node_bytes_);
@@ -165,20 +147,11 @@ Status NodeStore::try_read_span(uint64_t node_id, uint64_t offset,
   DAMKIT_RETURN_IF_ERROR(with_retries(
       *io_, retry_, &retry_counters_, /*retry_corruption=*/false,
       [&] { return io_->touch_read_checked(phys_offset, ps.length); }));
-  DAMKIT_RETURN_IF_ERROR(fetch_payload(node_id, node_scratch_));
+  DAMKIT_RETURN_IF_ERROR(peek_node(node_id, node_scratch_));
   std::memcpy(out.data(), node_scratch_.data() + offset, out.size());
   ++stats_.span_reads;
   stats_.bytes_read += ps.length;
   return Status();
-}
-
-void NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
-  DAMKIT_CHECK_OK(fetch_payload(node_id, out));
-}
-
-void NodeStore::touch_read(uint64_t node_id, uint64_t offset,
-                           uint64_t length) {
-  DAMKIT_CHECK_OK(try_touch_read(node_id, offset, length));
 }
 
 Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
@@ -192,11 +165,6 @@ Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
   ++stats_.touch_reads;
   stats_.bytes_read += ps.length;
   return Status();
-}
-
-void NodeStore::read_nodes(std::span<const uint64_t> ids,
-                           std::vector<std::vector<uint8_t>>& out) {
-  DAMKIT_CHECK_OK(try_read_nodes(ids, out));
 }
 
 Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
@@ -214,16 +182,12 @@ Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
   DAMKIT_RETURN_IF_ERROR(with_batch_retries(
       *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
       batch_scratch_, [&](size_t i, const Status& s) {
-        return s.ok() ? fetch_payload(ids[i], out[i]) : Status();
+        return s.ok() ? peek_node(ids[i], out[i]) : Status();
       }));
   ++stats_.read_batches;
   stats_.batched_reads += ids.size();
   stats_.bytes_read += total_bytes;
   return Status();
-}
-
-void NodeStore::write_nodes(std::span<const NodeImage> writes) {
-  DAMKIT_CHECK_OK(try_write_nodes(writes));
 }
 
 Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
@@ -269,10 +233,6 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
   stats_.batched_writes += writes.size();
   stats_.bytes_written += total_bytes;
   return Status();
-}
-
-void NodeStore::touch_read_batch(std::span<const NodeSpan> spans) {
-  DAMKIT_CHECK_OK(try_touch_read_batch(spans));
 }
 
 Status NodeStore::try_touch_read_batch(std::span<const NodeSpan> spans) {

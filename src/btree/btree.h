@@ -16,9 +16,8 @@
 #include <string_view>
 #include <vector>
 
-#include "blockdev/block_device.h"
 #include "btree/btree_node.h"
-#include "cache/buffer_pool.h"
+#include "cache/node_cache.h"
 #include "kv/dictionary.h"
 #include "sim/device.h"
 
@@ -53,7 +52,6 @@ struct BTreeOpStats {
 class BTree final : public kv::Dictionary {
  public:
   BTree(sim::Device& dev, sim::IoContext& io, BTreeConfig config);
-  ~BTree() override;
 
   std::string_view name() const override { return "btree"; }
   /// Upsert is the base's read-modify-write; bulk_load is native.
@@ -94,22 +92,32 @@ class BTree final : public kv::Dictionary {
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() override { pool_->discard_all(); }
+  void abandon() override { cache_.abandon(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    store_.set_retry_policy(policy);
+    cache_.set_retry_policy(policy);
   }
   blockdev::RetryCounters retry_counters() const override {
-    return store_.retry_counters();
+    return cache_.retry_counters();
+  }
+
+  /// Structured-event sink for the cache's evict/writeback events
+  /// (nullptr disables).
+  void set_event_trace(stats::TraceBuffer* events) override {
+    cache_.set_event_trace(events);
   }
 
   uint64_t size() const { return size_; }
   size_t height() const override { return height_; }
-  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
-  uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
+  double cache_hit_rate() const override {
+    return cache_.pool().stats().hit_rate();
+  }
+  uint64_t nodes_in_use() const { return cache_.store().nodes_in_use(); }
   const BTreeOpStats& op_stats() const { return op_stats_; }
-  const cache::BufferPoolStats& cache_stats() const { return pool_->stats(); }
+  const cache::BufferPoolStats& cache_stats() const {
+    return cache_.pool().stats();
+  }
   const BTreeConfig& config() const { return config_; }
   sim::IoContext& io() { return *io_; }
 
@@ -125,11 +133,6 @@ class BTree final : public kv::Dictionary {
 
  private:
   using NodeRef = std::shared_ptr<BTreeNode>;
-
-  StatusOr<NodeRef> try_fetch(uint64_t id);
-  NodeRef fetch(uint64_t id);  // CHECK-on-error wrapper (invariant checks)
-  void install_new(uint64_t id, NodeRef node);
-  void mark_dirty(uint64_t id) { pool_->mark_dirty(id); }
 
   struct PathEntry {
     uint64_t id;
@@ -157,17 +160,14 @@ class BTree final : public kv::Dictionary {
                      size_t depth, size_t leaf_depth, uint64_t* entries,
                      uint64_t* leftmost_leaf);
 
-  sim::Device* dev_;
   sim::IoContext* io_;
   BTreeConfig config_;
-  blockdev::NodeStore store_;
-  std::unique_ptr<cache::BufferPool> pool_;
+  cache::NodeCache<BTreeNode> cache_;
 
   uint64_t root_ = kInvalidNode;
   size_t height_ = 0;  // number of levels (1 = just a leaf root)
   uint64_t size_ = 0;  // live key count
   BTreeOpStats op_stats_;
-  std::vector<uint8_t> io_buf_;  // scratch for node IO
 };
 
 }  // namespace damkit::btree

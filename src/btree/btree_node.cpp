@@ -12,44 +12,11 @@ namespace {
 
 constexpr uint32_t kMagic = 0x42544e44;  // "BTND"
 
-size_t leaf_record_len(const uint8_t* p) {
-  return size_t{6} + load_u16(p) + load_u32(p + 2);
-}
-
-size_t pivot_record_len(const uint8_t* p) { return size_t{2} + load_u16(p); }
-
-std::string_view leaf_record_key(std::string_view rec) {
-  return rec.substr(6, load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
-}
-
-std::string_view pivot_record_key(std::string_view rec) {
-  return rec.substr(2);
-}
-
 }  // namespace
 
 uint64_t BTreeNode::header_bytes() {
   // magic u32 + flags u8 + count u32 + next_leaf u64.
   return 4 + 1 + 4 + 8;
-}
-
-uint64_t BTreeNode::leaf_entry_bytes(size_t klen, size_t vlen) {
-  return 2 + 4 + klen + vlen;  // u16 klen + u32 vlen + payloads
-}
-
-uint64_t BTreeNode::pivot_bytes(size_t klen) { return 2 + klen; }
-
-void BTreeNode::encode_leaf_record(uint8_t* p, std::string_view key,
-                                   std::string_view value) {
-  store_u16(p, static_cast<uint16_t>(key.size()));
-  store_u32(p + 2, static_cast<uint32_t>(value.size()));
-  std::memcpy(p + 6, key.data(), key.size());
-  std::memcpy(p + 6 + key.size(), value.data(), value.size());
-}
-
-void BTreeNode::encode_pivot_record(uint8_t* p, std::string_view key) {
-  store_u16(p, static_cast<uint16_t>(key.size()));
-  std::memcpy(p + 2, key.data(), key.size());
 }
 
 std::shared_ptr<BTreeNode> BTreeNode::make_leaf() {
@@ -65,7 +32,7 @@ std::shared_ptr<BTreeNode> BTreeNode::make_internal() {
 }
 
 size_t BTreeNode::lower_bound(std::string_view key) const {
-  return page_.lower_bound(key, leaf_record_key);
+  return page_.lower_bound(key, node::leaf_record::key);
 }
 
 bool BTreeNode::key_equals(size_t i, std::string_view key) const {
@@ -78,12 +45,12 @@ bool BTreeNode::leaf_put(std::string_view key, std::string_view value) {
   if (key_equals(i, key)) {
     uint8_t* p = page_.replace_alloc(i, leaf_entry_bytes(key.size(),
                                                          value.size()));
-    encode_leaf_record(p, key, value);
+    node::leaf_record::encode(p, key, value);
     return false;
   }
   uint8_t* p =
       page_.insert_alloc(i, leaf_entry_bytes(key.size(), value.size()));
-  encode_leaf_record(p, key, value);
+  node::leaf_record::encode(p, key, value);
   return true;
 }
 
@@ -101,12 +68,12 @@ void BTreeNode::leaf_append(std::string_view key, std::string_view value) {
                kv::compare(this->key(page_.count() - 1), key) < 0);
   uint8_t* p = page_.insert_alloc(page_.count(),
                                   leaf_entry_bytes(key.size(), value.size()));
-  encode_leaf_record(p, key, value);
+  node::leaf_record::encode(p, key, value);
 }
 
 size_t BTreeNode::child_index(std::string_view key) const {
   DAMKIT_CHECK(!is_leaf_);
-  return page_.upper_bound(key, pivot_record_key);
+  return page_.upper_bound(key, node::pivot_record::key);
 }
 
 void BTreeNode::internal_init(uint64_t first_child) {
@@ -120,7 +87,7 @@ void BTreeNode::internal_insert(size_t child_idx, std::string_view pivot,
   DAMKIT_CHECK(!is_leaf_);
   DAMKIT_CHECK(child_idx < children_.size());
   uint8_t* p = page_.insert_alloc(child_idx, pivot_bytes(pivot.size()));
-  encode_pivot_record(p, pivot);
+  node::pivot_record::encode(p, pivot);
   children_.insert(children_.begin() + static_cast<ptrdiff_t>(child_idx) + 1,
                    right_child);
 }
@@ -136,7 +103,7 @@ void BTreeNode::internal_set_pivot(size_t i, std::string_view key) {
   DAMKIT_CHECK(!is_leaf_);
   DAMKIT_CHECK(i < page_.count());
   uint8_t* p = page_.replace_alloc(i, pivot_bytes(key.size()));
-  encode_pivot_record(p, key);
+  node::pivot_record::encode(p, key);
 }
 
 BTreeNode::SplitResult BTreeNode::split() {
@@ -196,7 +163,7 @@ void BTreeNode::merge_from_right(BTreeNode& right, std::string_view separator) {
   } else {
     uint8_t* p = page_.insert_alloc(page_.count(),
                                     pivot_bytes(separator.size()));
-    encode_pivot_record(p, separator);
+    node::pivot_record::encode(p, separator);
     for (size_t i = 0; i < right.page_.count(); ++i) {
       page_.append(right.page_.record(i));
     }
@@ -239,7 +206,7 @@ std::string BTreeNode::borrow_balance(BTreeNode& right,
     const uint64_t loss = right.page_.record(0).size() + child_bytes();
     if (byte_size() + gain > right.byte_size() - loss) break;
     uint8_t* p = page_.insert_alloc(page_.count(), pivot_bytes(sep.size()));
-    encode_pivot_record(p, sep);
+    node::pivot_record::encode(p, sep);
     children_.push_back(right.children_.front());
     sep = std::string(right.pivot(0));
     right.page_.drop_front(1);
@@ -251,7 +218,7 @@ std::string BTreeNode::borrow_balance(BTreeNode& right,
                           child_bytes();
     if (right.byte_size() + gain > byte_size() - loss) break;
     uint8_t* p = right.page_.insert_alloc(0, pivot_bytes(sep.size()));
-    encode_pivot_record(p, sep);
+    node::pivot_record::encode(p, sep);
     right.children_.insert(right.children_.begin(), children_.back());
     sep = std::string(pivot(page_.count() - 1));
     page_.truncate(page_.count() - 1);
@@ -290,14 +257,14 @@ std::shared_ptr<BTreeNode> BTreeNode::deserialize(
   if (leaf) {
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(), count,
-                                  leaf_record_len);
+                                  node::leaf_record::length);
   } else {
     node->children_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) node->children_.push_back(r.get_u64());
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(),
                                   count == 0 ? 0 : count - 1,
-                                  pivot_record_len);
+                                  node::pivot_record::length);
   }
   return node;
 }

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "kv/slice.h"
+#include "node/records.h"
 #include "node/slotted_page.h"
-#include "util/bytes.h"
 
 namespace damkit::btree {
 
@@ -41,12 +41,10 @@ class BTreeNode {
   // --- Leaf accessors (views are invalidated by any mutation) ---
   size_t entry_count() const { return page_.count(); }
   kv::Slice key(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6, rec_klen(rec));
+    return node::leaf_record::key(page_.record(i));
   }
   kv::Slice value(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6 + rec_klen(rec));
+    return node::leaf_record::value(page_.record(i));
   }
   uint64_t next_leaf() const { return next_leaf_; }
   void set_next_leaf(uint64_t id) { next_leaf_ = id; }
@@ -67,7 +65,9 @@ class BTreeNode {
   size_t child_count() const { return children_.size(); }
   uint64_t child(size_t i) const { return children_[i]; }
   size_t pivot_count() const { return page_.count(); }
-  kv::Slice pivot(size_t i) const { return page_.record(i).substr(2); }
+  kv::Slice pivot(size_t i) const {
+    return node::pivot_record::key(page_.record(i));
+  }
 
   /// Index of the child covering `key`: first pivot > key.
   size_t child_index(std::string_view key) const;
@@ -111,25 +111,20 @@ class BTreeNode {
   uint64_t recomputed_byte_size() const;
 
   static uint64_t header_bytes();
-  static uint64_t leaf_entry_bytes(size_t klen, size_t vlen);
-  static uint64_t pivot_bytes(size_t klen);
+  static uint64_t leaf_entry_bytes(size_t klen, size_t vlen) {
+    return node::leaf_record::bytes(klen, vlen);
+  }
+  static uint64_t pivot_bytes(size_t klen) {
+    return node::pivot_record::bytes(klen);
+  }
   static uint64_t child_bytes() { return 8; }
 
  private:
   BTreeNode() = default;
 
-  static uint16_t rec_klen(std::string_view rec) {
-    return load_u16(reinterpret_cast<const uint8_t*>(rec.data()));
-  }
-  /// Encode a leaf record [u16 klen][u32 vlen][key][value] at `p`.
-  static void encode_leaf_record(uint8_t* p, std::string_view key,
-                                 std::string_view value);
-  /// Encode a pivot record [u16 klen][key] at `p`.
-  static void encode_pivot_record(uint8_t* p, std::string_view key);
-
   bool is_leaf_ = true;
-  // Leaf: [u16 klen][u32 vlen][key][value] records. Internal: [u16
-  // klen][key] pivot records (child_count-1 of them).
+  // Leaf: node::leaf_record records. Internal: node::pivot_record
+  // records (child_count-1 of them).
   node::SlottedPage page_;
   std::vector<uint64_t> children_;     // internal only
   uint64_t next_leaf_ = kInvalidNode;  // leaf only

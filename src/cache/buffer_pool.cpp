@@ -4,10 +4,14 @@
 
 namespace damkit::cache {
 
-BufferPool::BufferPool(uint64_t capacity_bytes, WritebackFn writeback)
-    : capacity_bytes_(capacity_bytes), writeback_(std::move(writeback)) {
+BufferPool::BufferPool(uint64_t capacity_bytes, WritebackFn writeback,
+                       BatchWritebackFn batch_writeback)
+    : capacity_bytes_(capacity_bytes),
+      writeback_(std::move(writeback)),
+      batch_writeback_(std::move(batch_writeback)) {
   DAMKIT_CHECK(capacity_bytes_ > 0);
   DAMKIT_CHECK(writeback_ != nullptr);
+  DAMKIT_CHECK(batch_writeback_ != nullptr);
 }
 
 BufferPool::~BufferPool() {
@@ -88,6 +92,11 @@ Status BufferPool::writeback(Entry& e) {
     ++stats_.writeback_failures;
     return s;
   }
+  landed(e);
+  return Status();
+}
+
+void BufferPool::landed(Entry& e) {
   e.dirty = false;
   ++stats_.dirty_writebacks;
   DAMKIT_STATS_ONLY({
@@ -95,47 +104,35 @@ Status BufferPool::writeback(Entry& e) {
       events_->emit({0, "cache", "writeback", e.id, e.bytes, 1});
     }
   });
-  return Status();
 }
 
 Status BufferPool::flush_all() {
-  if (batch_writeback_ != nullptr) {
-    // Gather every dirty entry (MRU→LRU, a stable order) and hand them to
-    // the owner as one batch; the owner issues a single vectored write and
-    // reports which entries landed.
-    std::vector<std::pair<uint64_t, void*>> dirty;
-    std::vector<LruList::iterator> dirty_its;
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if (it->dirty) {
-        dirty.emplace_back(it->id, it->object.get());
-        dirty_its.push_back(it);
-      }
+  // Gather every dirty entry (MRU→LRU, a stable order) and hand them to
+  // the owner as one batch; the owner issues a single vectored write and
+  // reports which entries landed.
+  std::vector<std::pair<uint64_t, void*>> dirty;
+  std::vector<LruList::iterator> dirty_its;
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    if (it->dirty) {
+      dirty.emplace_back(it->id, it->object.get());
+      dirty_its.push_back(it);
     }
-    if (dirty.empty()) return Status();
-    std::vector<bool> written(dirty.size(), false);
-    const Status s = batch_writeback_(dirty, &written);
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      if (written[i]) {
-        dirty_its[i]->dirty = false;
-        ++stats_.dirty_writebacks;
-      } else {
-        ++stats_.writeback_failures;
-      }
+  }
+  if (dirty.empty()) return Status();
+  std::vector<bool> written(dirty.size(), false);
+  const Status s = batch_writeback_(dirty, &written);
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    if (written[i]) {
+      landed(*dirty_its[i]);
+    } else {
+      ++stats_.writeback_failures;
     }
-    DAMKIT_CHECK_MSG(s.ok() || !std::all_of(written.begin(), written.end(),
-                                            [](bool w) { return w; }),
-                     "batch writeback reported failure but marked every "
-                     "entry written");
-    return s;
   }
-  // Per-entry path: keep going after a failure so one bad extent does not
-  // block the rest of the checkpoint; report the first failure.
-  Status first_failure;
-  for (Entry& e : lru_) {
-    const Status s = writeback(e);
-    if (!s.ok() && first_failure.ok()) first_failure = s;
-  }
-  return first_failure;
+  DAMKIT_CHECK_MSG(s.ok() || !std::all_of(written.begin(), written.end(),
+                                          [](bool w) { return w; }),
+                   "batch writeback reported failure but marked every "
+                   "entry written");
+  return s;
 }
 
 uint64_t BufferPool::pinned_bytes() const {
@@ -144,18 +141,6 @@ uint64_t BufferPool::pinned_bytes() const {
     if (pinned(e)) total += e.bytes;
   }
   return total;
-}
-
-Status BufferPool::clear() {
-  DAMKIT_RETURN_IF_ERROR(flush_all());
-  for (const Entry& e : lru_) {
-    DAMKIT_CHECK_MSG(!pinned(e), "clear() with pinned entry id=" << e.id);
-  }
-  lru_.clear();
-  index_.clear();
-  charged_bytes_ = 0;
-  writeback_deferred_bytes_ = 0;
-  return Status();
 }
 
 void BufferPool::discard_all() {

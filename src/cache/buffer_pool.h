@@ -7,7 +7,9 @@
 // LRU-first. Eviction of a dirty entry invokes the owner's writeback
 // callback, which serializes the node and performs (and charges!) the
 // device write. Pinning is implicit: an entry whose handle is still held
-// by a caller (shared_ptr use_count > 1) is never evicted.
+// by a caller (shared_ptr use_count > 1) is never evicted. The paged
+// trees reach it through cache::NodeCache (node_cache.h), which supplies
+// both writebacks.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,7 @@ class BufferPool {
   using WritebackFn = std::function<Status(uint64_t id, void* object)>;
 
   /// Vectored writeback for checkpoints: the owner serializes every listed
-  /// object and writes them as ONE device batch (NodeStore::write_nodes),
+  /// object and writes them as ONE device batch (NodeStore::try_write_nodes),
   /// so a flush cascade pays the slowest write instead of the sum. The
   /// owner must set (*written)[i] for every entry that durably landed —
   /// the pool clears dirty bits only for those — and return the first
@@ -67,7 +69,10 @@ class BufferPool {
       std::function<Status(std::span<const std::pair<uint64_t, void*>> dirty,
                            std::vector<bool>* written)>;
 
-  BufferPool(uint64_t capacity_bytes, WritebackFn writeback);
+  /// Single-entry evictions go through `writeback`; flush_all() hands
+  /// every dirty entry to `batch_writeback` in one call.
+  BufferPool(uint64_t capacity_bytes, WritebackFn writeback,
+             BatchWritebackFn batch_writeback);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -99,22 +104,11 @@ class BufferPool {
   /// absent. The entry must not be pinned by anyone but the caller.
   void erase(uint64_t id);
 
-  /// Optional batched checkpoint path; when set, flush_all() hands all
-  /// dirty entries to `fn` in one call instead of one writeback per entry.
-  /// Single-entry eviction writebacks still use the per-entry callback.
-  void set_batch_writeback(BatchWritebackFn fn) {
-    batch_writeback_ = std::move(fn);
-  }
-
-  /// Write back every dirty entry (checkpoint); entries stay resident.
-  /// On failure the entries whose writeback failed stay dirty (their data
-  /// is intact in the pool) and the first failure is returned — calling
-  /// again retries exactly the still-dirty set.
+  /// Write back every dirty entry (checkpoint) as one batch, MRU first;
+  /// entries stay resident. On failure the entries whose writeback failed
+  /// stay dirty (their data is intact in the pool) and the first failure
+  /// is returned — calling again retries exactly the still-dirty set.
   Status flush_all();
-
-  /// Write back and drop everything evictable; CHECKs nothing is pinned.
-  /// On writeback failure nothing is dropped and the failure is returned.
-  Status clear();
 
   /// Drop every entry WITHOUT writeback — crash teardown. Dirty state is
   /// lost by design (the caller is abandoning a dead device, and the
@@ -161,6 +155,9 @@ class BufferPool {
   /// Write back `e` if dirty. On failure the entry stays dirty (and must
   /// stay resident — its pool copy is the only authoritative one).
   Status writeback(Entry& e);
+  /// Mark `e` clean once its image landed: count it and emit the
+  /// `cache`/`writeback` event (both writeback paths).
+  void landed(Entry& e);
   /// Evict cold unpinned entries until the budget fits `incoming_bytes`.
   /// Entries whose writeback fails are skipped (kept dirty + resident) and
   /// accounted in writeback_deferred_bytes_.

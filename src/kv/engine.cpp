@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -11,8 +10,8 @@
 #include "betree_opt/opt_betree.h"
 #include "blockdev/retry.h"
 #include "kv/merge.h"
+#include "node/records.h"
 #include "node/slotted_page.h"
-#include "util/bytes.h"
 
 namespace damkit::kv {
 
@@ -162,35 +161,22 @@ class PdamEngine final : public Dictionary {
 
  private:
   static uint64_t entry_bytes(std::string_view key, std::string_view value) {
-    return key.size() + value.size() + 6;  // leaf framing, as elsewhere
+    return node::leaf_record::bytes(key.size(), value.size());
   }
 
-  // The base run is a flat slotted page of [u16 klen][u32 vlen][key][value]
-  // records in key order; record size equals entry_bytes exactly, so
-  // live_bytes() IS the base's accounted byte total.
-  static size_t base_record_len(const uint8_t* p) {
-    return size_t{6} + load_u16(p) + load_u32(p + 2);
-  }
-  static std::string_view base_record_key(std::string_view rec) {
-    return rec.substr(6,
-                      load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
-  }
+  // The base run is a flat slotted page of node::leaf_record records in
+  // key order; record size equals entry_bytes exactly, so live_bytes() IS
+  // the base's accounted byte total.
   std::string_view base_key(size_t i) const {
-    return base_record_key(base_.record(i));
+    return node::leaf_record::key(base_.record(i));
   }
   std::string_view base_value(size_t i) const {
-    const std::string_view rec = base_.record(i);
-    return rec.substr(
-        6 + load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
+    return node::leaf_record::value(base_.record(i));
   }
   static void append_entry(node::SlottedPage& page, std::string_view key,
                            std::string_view value) {
-    uint8_t* p = page.insert_alloc(page.count(),
-                                   entry_bytes(key, value));
-    store_u16(p, static_cast<uint16_t>(key.size()));
-    store_u32(p + 2, static_cast<uint32_t>(value.size()));
-    std::memcpy(p + 6, key.data(), key.size());
-    std::memcpy(p + 6 + key.size(), value.data(), value.size());
+    uint8_t* p = page.insert_alloc(page.count(), entry_bytes(key, value));
+    node::leaf_record::encode(p, key, value);
   }
   void append_base_entry(std::string_view key, std::string_view value) {
     append_entry(base_, key, value);
@@ -206,7 +192,7 @@ class PdamEngine final : public Dictionary {
   }
 
   size_t base_rank(std::string_view key) const {
-    return base_.lower_bound(key, base_record_key);
+    return base_.lower_bound(key, node::leaf_record::key);
   }
 
   int descent_levels() const {

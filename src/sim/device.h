@@ -229,19 +229,6 @@ class Device {
     store_.write(offset, data);
   }
 
-  /// Convenience: timing + payload in one call.
-  IoCompletion read(uint64_t offset, std::span<uint8_t> out, SimTime now) {
-    const IoCompletion c = submit({IoKind::kRead, offset, out.size()}, now);
-    store_.read(offset, out);
-    return c;
-  }
-  IoCompletion write(uint64_t offset, std::span<const uint8_t> data,
-                     SimTime now) {
-    const IoCompletion c = submit({IoKind::kWrite, offset, data.size()}, now);
-    store_.write(offset, data);
-    return c;
-  }
-
   /// Fallible timing + payload. On failure `out` is left untouched (reads)
   /// or routed through note_failed_write (writes), so a faulted IO never
   /// silently transfers data.
@@ -399,38 +386,10 @@ class IoContext {
 
   Device& device() { return *dev_; }
 
-  /// Issue a read and advance this context's clock to its completion.
-  void read(uint64_t offset, std::span<uint8_t> out) {
-    now_ = dev_->read(offset, out, now_).finish;
-  }
-  /// Issue a write and advance this context's clock to its completion.
-  void write(uint64_t offset, std::span<const uint8_t> data) {
-    now_ = dev_->write(offset, data, now_).finish;
-  }
-  /// Timing-only read (payload ignored), used by layout experiments.
-  void touch_read(uint64_t offset, uint64_t length) {
-    now_ = dev_->submit({IoKind::kRead, offset, length}, now_).finish;
-  }
-  /// Timing-only write, the dual of touch_read (charged rebuild passes).
-  void touch_write(uint64_t offset, uint64_t length) {
-    now_ = dev_->submit({IoKind::kWrite, offset, length}, now_).finish;
-  }
-
-  /// Issue a batch of timing-only IOs and advance the clock to the *max*
-  /// completion. This is where batching pays: a serial loop advances by
-  /// the sum of latencies, a batch only by the slowest request (the
-  /// device overlaps the rest).
-  std::vector<IoCompletion> submit_batch(std::span<const IoRequest> reqs) {
-    std::vector<IoCompletion> cs = dev_->submit_batch(reqs, now_);
-    SimTime done = now_;
-    for (const IoCompletion& c : cs) done = std::max(done, c.finish);
-    now_ = done;
-    return cs;
-  }
-
-  /// Fallible variants. The clock still advances to the completion on a
-  /// faulted IO — a failed request occupies the device like any other —
-  /// so retry loops charge realistic time for every attempt.
+  /// Issue an IO and advance this context's clock to its completion. The
+  /// clock advances on a faulted IO too — a failed request occupies the
+  /// device like any other — so retry loops charge realistic time for
+  /// every attempt. The touch_* forms are timing-only (payload ignored).
   Status read_checked(uint64_t offset, std::span<uint8_t> out) {
     IoCompletion c;
     const Status s = dev_->read_checked(offset, out, now_, &c);
@@ -457,9 +416,11 @@ class IoContext {
     advance_to(c.finish);
     return s;
   }
-  /// Batch counterpart of submit_batch(): advances to the max completion
-  /// and reports per-request fault verdicts in `*per_io`. Non-OK return
-  /// (invalid request) charges no time.
+  /// Issue a batch of timing-only IOs and advance the clock to the *max*
+  /// completion. This is where batching pays: a serial loop advances by
+  /// the sum of latencies, a batch only by the slowest request (the
+  /// device overlaps the rest). Per-request fault verdicts land in
+  /// `*per_io`; a non-OK return (invalid request) charges no time.
   Status submit_batch_checked(std::span<const IoRequest> reqs,
                               std::vector<IoCompletion>* completions,
                               std::vector<Status>* per_io) {

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "kv/codec.h"
 #include "kv/slice.h"
@@ -201,6 +203,39 @@ TEST_F(OptBeTreeTest, InsertCostNotWorseThanStandard) {
   const double standard = measure(false);
   const double optimized = measure(true);
   EXPECT_LT(optimized, standard * 4.0);
+}
+
+TEST(OptBeTreeCorruptionTest, CorruptFrameIsAStatusOnBothGetPaths) {
+  // Bulk loads write through, so both trees start cold and every get
+  // decodes a stored LZ frame: the standard tree through its whole-node
+  // fetch, the optimized one through its uncharged peek. Zeroed frames
+  // must surface as kCorruption on both paths, not abort.
+  for (const bool optimized : {false, true}) {
+    SCOPED_TRACE(optimized ? "opt-betree" : "betree");
+    sim::HddConfig cfg;
+    cfg.capacity_bytes = 1ULL * kGiB;
+    sim::HddDevice dev(cfg, 1);
+    sim::IoContext io(dev);
+    betree::BeTreeConfig tc;
+    tc.node_bytes = 16 * kKiB;
+    tc.target_fanout = 8;
+    tc.cache_bytes = 256 * kKiB;
+    tc.codec = blockdev::CodecKind::kLz;
+    std::unique_ptr<betree::BeTree> tree;
+    if (optimized) {
+      tree = std::make_unique<OptBeTree>(dev, io, tc);
+    } else {
+      tree = std::make_unique<betree::BeTree>(dev, io, tc);
+    }
+    tree->bulk_load(2000, [](uint64_t i) {
+      return std::make_pair(kv::encode_key(i), kv::make_value(i, 40));
+    });
+    ASSERT_GT(tree->nodes_in_use(), 1u);
+    dev.write_bytes(0, std::vector<uint8_t>(
+                           tree->nodes_in_use() * tc.node_bytes, 0));
+    const auto got = tree->try_get(kv::encode_key(7));
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  }
 }
 
 }  // namespace

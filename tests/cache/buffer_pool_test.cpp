@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace damkit::cache {
@@ -13,16 +15,40 @@ struct Obj {
   int value;
 };
 
+using Dirty = std::span<const std::pair<uint64_t, void*>>;
+
+/// A batch writeback that lands every entry except `failing_id`, logging
+/// the landed ids in order.
+BufferPool::BatchWritebackFn batch_into(std::vector<uint64_t>* landed,
+                                        const uint64_t* failing_id = nullptr) {
+  return [=](Dirty dirty, std::vector<bool>* written) {
+    Status first;
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      EXPECT_NE(dirty[i].second, nullptr);
+      if (failing_id != nullptr && dirty[i].first == *failing_id) {
+        if (first.ok()) first = Status::unavailable("injected");
+        continue;
+      }
+      (*written)[i] = true;
+      landed->push_back(dirty[i].first);
+    }
+    return first;
+  };
+}
+
 class BufferPoolTest : public testing::Test {
  protected:
-  std::vector<uint64_t> written_;
+  std::vector<uint64_t> written_;  // scalar (eviction) writebacks
+  std::vector<uint64_t> batched_;  // flush_all batch writebacks
   std::unique_ptr<BufferPool> make_pool(uint64_t capacity) {
     return std::make_unique<BufferPool>(
-        capacity, [this](uint64_t id, void* obj) {
+        capacity,
+        [this](uint64_t id, void* obj) {
           written_.push_back(id);
           EXPECT_NE(obj, nullptr);
           return Status();
-        });
+        },
+        batch_into(&batched_));
   }
 };
 
@@ -105,28 +131,17 @@ TEST_F(BufferPoolTest, PinnedBytesTracked) {
 
 TEST_F(BufferPoolTest, FlushAllUsesBatchWriteback) {
   auto pool = make_pool(1000);
-  std::vector<uint64_t> batched;
-  pool->set_batch_writeback(
-      [&](std::span<const std::pair<uint64_t, void*>> dirty,
-          std::vector<bool>* written) {
-        written->assign(dirty.size(), true);
-        for (const auto& [id, obj] : dirty) {
-          batched.push_back(id);
-          EXPECT_NE(obj, nullptr);
-        }
-        return Status();
-      });
   pool->put(1, std::make_shared<Obj>(1), 100, true);
   pool->put(2, std::make_shared<Obj>(2), 100, false);
   pool->put(3, std::make_shared<Obj>(3), 100, true);
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(batched, (std::vector<uint64_t>{3, 1}));  // MRU → LRU order
+  EXPECT_EQ(batched_, (std::vector<uint64_t>{3, 1}));  // MRU → LRU order
   EXPECT_TRUE(written_.empty());  // batch path replaces per-entry callback
   EXPECT_EQ(pool->stats().dirty_writebacks, 2u);
   EXPECT_FALSE(pool->is_dirty(1));
   EXPECT_FALSE(pool->is_dirty(3));
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(batched.size(), 2u);  // nothing dirty: no second batch
+  EXPECT_EQ(batched_.size(), 2u);  // nothing dirty: no second batch
 }
 
 TEST_F(BufferPoolTest, MarkDirtyThenFlushAll) {
@@ -137,28 +152,29 @@ TEST_F(BufferPoolTest, MarkDirtyThenFlushAll) {
   EXPECT_TRUE(pool->is_dirty(1));
   EXPECT_FALSE(pool->is_dirty(2));
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(written_, std::vector<uint64_t>{1});
+  EXPECT_EQ(batched_, std::vector<uint64_t>{1});
   EXPECT_FALSE(pool->is_dirty(1));  // clean after writeback
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(written_.size(), 1u);  // no double write
+  EXPECT_EQ(batched_.size(), 1u);  // no double write
 }
 
-TEST_F(BufferPoolTest, FlushAllPerEntryPathWithoutBatchFn) {
-  // With no batch_writeback_ installed, flush_all walks entries MRU→LRU
-  // through the per-entry callback, skipping clean ones.
+TEST_F(BufferPoolTest, FlushAllBatchesOnlyDirtyEntriesMruFirst) {
+  // flush_all hands the dirty entries, MRU→LRU, to the batch writeback
+  // and skips clean ones; the scalar callback is for evictions only.
   auto pool = make_pool(1000);
   pool->put(1, std::make_shared<Obj>(1), 100, true);
   pool->put(2, std::make_shared<Obj>(2), 100, false);
   pool->put(3, std::make_shared<Obj>(3), 100, true);
   pool->put(4, std::make_shared<Obj>(4), 100, true);
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(written_, (std::vector<uint64_t>{4, 3, 1}));
+  EXPECT_EQ(batched_, (std::vector<uint64_t>{4, 3, 1}));
+  EXPECT_TRUE(written_.empty());
   EXPECT_EQ(pool->stats().dirty_writebacks, 3u);
   EXPECT_FALSE(pool->is_dirty(1));
   EXPECT_FALSE(pool->is_dirty(3));
   EXPECT_FALSE(pool->is_dirty(4));
   ASSERT_TRUE(pool->flush_all().ok());
-  EXPECT_EQ(written_.size(), 3u);  // all clean: nothing rewritten
+  EXPECT_EQ(batched_.size(), 3u);  // all clean: nothing rewritten
 }
 
 TEST_F(BufferPoolTest, FlushAllFailureKeepsEntryDirtyAndResident) {
@@ -167,11 +183,9 @@ TEST_F(BufferPoolTest, FlushAllFailureKeepsEntryDirtyAndResident) {
   // the first failure, and the failed entry can be flushed again later.
   uint64_t failing_id = 3;
   std::vector<uint64_t> written;
-  BufferPool pool(1000, [&](uint64_t id, void*) {
-    if (id == failing_id) return Status::unavailable("injected");
-    written.push_back(id);
-    return Status();
-  });
+  BufferPool pool(
+      1000, [](uint64_t, void*) { return Status(); },
+      batch_into(&written, &failing_id));
   pool.put(1, std::make_shared<Obj>(1), 100, true);
   pool.put(2, std::make_shared<Obj>(2), 100, true);
   pool.put(3, std::make_shared<Obj>(3), 100, true);
@@ -206,16 +220,6 @@ TEST_F(BufferPoolTest, EraseDropsWithoutWriteback) {
   EXPECT_TRUE(written_.empty());
   EXPECT_EQ(pool->charged_bytes(), 0u);
   pool->erase(99);  // absent: no-op
-}
-
-TEST_F(BufferPoolTest, ClearFlushesAndEmpties) {
-  auto pool = make_pool(1000);
-  pool->put(1, std::make_shared<Obj>(1), 100, true);
-  pool->put(2, std::make_shared<Obj>(2), 200, false);
-  ASSERT_TRUE(pool->clear().ok());
-  EXPECT_EQ(pool->entries(), 0u);
-  EXPECT_EQ(pool->charged_bytes(), 0u);
-  EXPECT_EQ(written_, std::vector<uint64_t>{1});
 }
 
 TEST_F(BufferPoolTest, ChargedBytesTracked) {
@@ -263,10 +267,8 @@ TEST_F(BufferPoolTest, DiscardAllDropsDirtyStateWithoutWriteback) {
 TEST_F(BufferPoolTest, DiscardAllAfterFailedWritebackIsClean) {
   // Entries kept resident because their writeback failed (the deferred
   // set) are exactly what discard_all must be able to drop post-crash.
-  bool fail = true;
-  auto pool = std::make_unique<BufferPool>(1000, [&fail](uint64_t, void*) {
-    return fail ? Status::unavailable("dead device") : Status();
-  });
+  const auto dead = [](auto&&...) { return Status::unavailable("dead"); };
+  auto pool = std::make_unique<BufferPool>(1000, dead, dead);
   pool->put(1, std::make_shared<Obj>(1), 100, true);
   EXPECT_FALSE(pool->flush_all().ok());
   pool->discard_all();
@@ -311,7 +313,10 @@ TEST_F(BufferPoolDeathTest, MarkDirtyAbsentAborts) {
 TEST_F(BufferPoolDeathTest, DestructorWithDirtyAborts) {
   EXPECT_DEATH(
       {
-        BufferPool p(1000, [](uint64_t, void*) { return Status(); });
+        std::vector<uint64_t> landed;
+        BufferPool p(
+            1000, [](uint64_t, void*) { return Status(); },
+            batch_into(&landed));
         p.put(1, std::make_shared<Obj>(1), 10, true);
         // p destroyed with dirty entry
       },

@@ -201,7 +201,7 @@ TEST(SsdTest, LinkDisabledByDefault) {
 TEST(SsdTest, TrimDropsPayloadWithoutTiming) {
   SsdDevice dev(small_config());
   std::vector<uint8_t> data(64 * kKiB, 0x7e);
-  dev.write(0, data, 0);
+  dev.write_bytes(0, data);
   EXPECT_GT(dev.resident_host_bytes(), 0u);
   dev.trim(0, 64 * kKiB);
   EXPECT_EQ(dev.resident_host_bytes(), 0u);

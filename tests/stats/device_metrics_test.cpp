@@ -26,7 +26,10 @@ TEST(DeviceMetrics, HddAffineSplitMatchesClosedForm) {
   const uint64_t tracks = config.capacity_bytes / config.track_bytes;
   const uint64_t io_bytes = config.track_bytes / 4;  // track-aligned, < track
   for (int i = 0; i < 1500; ++i) {
-    io.touch_read((rng.next() % tracks) * config.track_bytes, io_bytes);
+    ASSERT_TRUE(
+        io.touch_read_checked((rng.next() % tracks) * config.track_bytes,
+                              io_bytes)
+            .ok());
   }
 
   const DeviceStats& st = dev.stats();
@@ -81,8 +84,10 @@ TEST(DeviceMetrics, BatchOfOneEquivalentToSerial) {
   SsdDevice batched_dev(config);
   IoContext batched_io(batched_dev);
   std::vector<IoCompletion> batched;
+  std::vector<IoCompletion> cs;
+  std::vector<Status> per_io;
   for (const auto& r : reqs) {
-    const auto cs = batched_io.submit_batch({&r, 1});
+    ASSERT_TRUE(batched_io.submit_batch_checked({&r, 1}, &cs, &per_io).ok());
     batched.push_back(cs[0]);
   }
 
@@ -124,7 +129,9 @@ TEST(DeviceMetrics, SsdExportsPerDieUtilization) {
                      static_cast<uint64_t>(d) * config.stripe_bytes,
                      config.stripe_bytes});
   }
-  io.submit_batch(batch);
+  std::vector<IoCompletion> cs;
+  std::vector<Status> per_io;
+  ASSERT_TRUE(io.submit_batch_checked(batch, &cs, &per_io).ok());
 
   stats::MetricsRegistry reg;
   dev.export_metrics(reg, "ssd.");
@@ -144,11 +151,13 @@ TEST(DeviceMetrics, EventTraceRecordsIos) {
   stats::TraceBuffer events(16);
   dev.set_event_trace(&events);
   IoContext io(dev);
-  io.touch_read(0, 4096);
+  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
   const std::vector<IoRequest> batch = {{IoKind::kRead, 0, 4096},
                                         {IoKind::kRead, config.stripe_bytes,
                                          4096}};
-  io.submit_batch(batch);
+  std::vector<IoCompletion> cs;
+  std::vector<Status> per_io;
+  ASSERT_TRUE(io.submit_batch_checked(batch, &cs, &per_io).ok());
 
   const auto recorded = events.events();
   // 1 scalar io + 1 batch marker + 2 batched ios.
@@ -160,7 +169,7 @@ TEST(DeviceMetrics, EventTraceRecordsIos) {
 
   // Disabling collection stops emission without detaching the buffer.
   stats::set_collecting(false);
-  io.touch_read(0, 4096);
+  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
   stats::set_collecting(true);
   EXPECT_EQ(events.events().size(), 4u);
 }
