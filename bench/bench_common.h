@@ -31,7 +31,7 @@ struct BenchArgs {
   /// kDefault keeps the factory's resolution (DAMKIT_CODEC env, else
   /// identity); --codec identity|prefix|lz overrides it.
   blockdev::CodecKind codec = blockdev::CodecKind::kDefault;
-  /// Concurrent client sessions for benches that drive the serving layer
+  /// Concurrent clients for benches that drive the serving layer
   /// (run_concurrent); 1 keeps the sequential path.
   uint64_t clients = 1;
   /// Per-client admission depth for the serving layer.

@@ -2,7 +2,7 @@
 // clients, gated against the PDAM Lemma 13 prediction.
 //
 // One section per client count k drives the same get-only workload through
-// serve::Scheduler (via WorkloadRunner::run_concurrent) against a B-tree
+// WorkloadRunner::run_concurrent (and its serve::replay) against a B-tree
 // whose 16 KiB nodes each occupy exactly one die stripe of a P = 8 SSD.
 // Every client keeps one op outstanding (inflight = 1), so the sweep is
 // the closed-loop experiment Lemma 13 models: throughput should grow as
@@ -17,7 +17,7 @@
 //      bound, not an equality), via check_bench_regression.py --no-affine;
 //   3. the in-binary checks below: the same tolerance, a saturation check
 //      past k = P, and digest equality across all client counts (the
-//      scheduler's record/replay split must not perturb results).
+//      record/replay split must not perturb results).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -107,8 +107,8 @@ PointResult run_point(const bench::BenchArgs& args, uint64_t clients,
       strfmt("concurrency.k%llu.", static_cast<unsigned long long>(clients));
   reg.set(prefix + "sim_seconds", sim::to_seconds(run.concurrent_elapsed));
   reg.set(prefix + "serial_seconds", sim::to_seconds(run.base.sim_elapsed));
-  reg.set(prefix + "speedup", run.speedup);
-  reg.set(prefix + "throughput_ops_per_sec", run.throughput_ops_per_sec);
+  reg.set(prefix + "speedup", run.speedup());
+  reg.set(prefix + "throughput_ops_per_sec", run.throughput_ops_per_sec());
   reg.add(prefix + "batches", run.batches);
   reg.add(prefix + "batch_ios", run.batch_ios);
   stats::export_histogram_summary(reg, prefix + "latency_ns", run.latency);
@@ -116,7 +116,7 @@ PointResult run_point(const bench::BenchArgs& args, uint64_t clients,
   PointResult out;
   out.digest = run.base.digest;
   out.concurrent_seconds = sim::to_seconds(run.concurrent_elapsed);
-  out.throughput_ops_per_sec = run.throughput_ops_per_sec;
+  out.throughput_ops_per_sec = run.throughput_ops_per_sec();
   return out;
 }
 

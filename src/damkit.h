@@ -38,9 +38,7 @@
 #include "pdam_tree/pdam_btree.h"      // IWYU pragma: export
 #include "pdam_tree/veb_layout.h"      // IWYU pragma: export
 #include "serve/io_chain.h"            // IWYU pragma: export
-#include "serve/op_queue.h"            // IWYU pragma: export
 #include "serve/scheduler.h"           // IWYU pragma: export
-#include "serve/session.h"             // IWYU pragma: export
 #include "sim/closed_loop.h"           // IWYU pragma: export
 #include "sim/device.h"                // IWYU pragma: export
 #include "sim/fault_injection.h"       // IWYU pragma: export

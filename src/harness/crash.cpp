@@ -75,9 +75,10 @@ uint64_t reference_state_digest(const CrashCycleSpec& spec) {
   kv::OpGenerator gen(spec.workload);
   uint64_t read_digest = kv::kFnvOffsetBasis;
   kv::ApplyCounters counters;
+  kv::ApplyScratch scratch;
   for (uint64_t i = 0; i < spec.ops; ++i) {
     kv::apply_op(*dict, gen.next(), i, spec.workload, {}, &read_digest,
-                 &counters);
+                 &counters, &scratch);
   }
   dict->flush();
   return state_digest(*dict);
@@ -110,11 +111,12 @@ CrashCycleReport run_crash_cycle(const CrashCycleSpec& spec,
   kv::OpGenerator gen(spec.workload);
   uint64_t read_digest = kv::kFnvOffsetBasis;
   kv::ApplyCounters counters;
+  kv::ApplyScratch scratch;  // also serves the resumed suffix (phase 4)
   kv::ApplyOptions fallible;
   fallible.fallible = true;
   for (uint64_t i = 0; i < spec.ops && !dev.crashed(); ++i) {
     kv::apply_op(*eng, gen.next(), i, spec.workload, fallible, &read_digest,
-                 &counters);
+                 &counters, &scratch);
     if (spec.checkpoint_every_ops != 0 &&
         (i + 1) % spec.checkpoint_every_ops == 0) {
       // May fail when the crash lands inside it — recovery handles that.
@@ -180,7 +182,7 @@ CrashCycleReport run_crash_cycle(const CrashCycleSpec& spec,
   }
   for (; idx < spec.ops; ++idx) {
     kv::apply_op(*recovered, resume_gen.next(), idx, spec.workload, {},
-                 &read_digest, &counters);
+                 &read_digest, &counters, &scratch);
     ++report.resumed_ops;
   }
   recovered->flush();

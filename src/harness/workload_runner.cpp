@@ -4,9 +4,8 @@
 #include <set>
 #include <utility>
 
-#include "kv/op_apply.h"
 #include "kv/slice.h"
-#include "serve/scheduler.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -22,25 +21,51 @@ void WorkloadRunner::bulk_load(uint64_t items, const kv::WorkloadSpec& spec) {
 WorkloadRunResult WorkloadRunner::run(const kv::WorkloadSpec& spec,
                                       uint64_t ops,
                                       const WorkloadRunOptions& options) {
+  return drive(spec, ops, options, nullptr);
+}
+
+ConcurrentRunResult WorkloadRunner::run_concurrent(
+    const kv::WorkloadSpec& spec, uint64_t ops,
+    const ConcurrentRunOptions& options) {
+  DataPhase data;
+  WorkloadRunResult base = drive(spec, ops, options, &data);
+  ConcurrentRunResult result{serve::replay(data.chains, options),
+                             std::move(base), data.elapsed};
+  if (!options.replay_device_factory) {
+    // Nothing replayed: the concurrent timeline is the serial one.
+    result.concurrent_elapsed = result.serial_elapsed;
+  }
+  return result;
+}
+
+WorkloadRunResult WorkloadRunner::drive(const kv::WorkloadSpec& spec,
+                                        uint64_t ops,
+                                        const WorkloadRunOptions& options,
+                                        DataPhase* recorded) {
   WorkloadRunResult result;
   kv::OpGenerator gen(spec);
+  // Holds only the current op's records: cleared once its chain is built.
+  sim::IoTrace trace;
+  if (recorded != nullptr) {
+    io_->device().set_trace(&trace);
+    recorded->chains.reserve(ops);
+  }
   const sim::SimTime before = io_->now();
 
-  kv::ApplyCounters counters;
   const kv::ApplyOptions apply_options{options.fallible};
   kv::ApplyScratch scratch;  // key/value buffers reused across all ops
   for (uint64_t i = 0; i < ops; ++i) {
-    const kv::Op op = gen.next();
-    kv::apply_op(*dict_, op, i, spec, apply_options, &result.digest,
-                 &counters, &scratch);
+    kv::apply_op(*dict_, gen.next(), i, spec, apply_options, &result.digest,
+                 &result, &scratch);
+    if (recorded != nullptr) {
+      recorded->chains.push_back(serve::build_io_chain(trace.records()));
+      trace.clear();
+    }
   }
-  result.puts = counters.puts;
-  result.gets = counters.gets;
-  result.erases = counters.erases;
-  result.scans = counters.scans;
-  result.upserts = counters.upserts;
-  result.get_hits = counters.get_hits;
-  result.failed_ops = counters.failed_ops;
+  if (recorded != nullptr) {
+    io_->device().set_trace(nullptr);
+    recorded->elapsed = io_->now() - before;
+  }
 
   if (options.flush_at_end) {
     if (options.fallible) {
@@ -53,51 +78,34 @@ WorkloadRunResult WorkloadRunner::run(const kv::WorkloadSpec& spec,
   return result;
 }
 
-ConcurrentRunResult WorkloadRunner::run_concurrent(
-    const kv::WorkloadSpec& spec, uint64_t ops,
-    const ConcurrentRunOptions& options) {
-  serve::ServeConfig config;
-  config.clients = options.clients;
-  config.inflight = options.inflight;
-  config.fallible = options.fallible;
-  config.replay_device_factory = options.replay_device_factory;
-  config.lane_of = options.lane_of;
-  config.lanes = options.lanes;
+double ConcurrentRunResult::speedup() const {
+  if (concurrent_elapsed == 0) return 1.0;
+  return static_cast<double>(serial_elapsed) /
+         static_cast<double>(concurrent_elapsed);
+}
 
-  const sim::SimTime before = io_->now();
-  serve::Scheduler scheduler(*dict_, *io_, config);
-  serve::ServeResult served = scheduler.serve(spec, ops);
+double ConcurrentRunResult::throughput_ops_per_sec() const {
+  const double secs = sim::to_seconds(concurrent_elapsed);
+  if (secs <= 0.0) return 0.0;
+  return static_cast<double>(base.ops()) / secs;
+}
 
-  ConcurrentRunResult result;
-  result.base.puts = served.counters.puts;
-  result.base.gets = served.counters.gets;
-  result.base.erases = served.counters.erases;
-  result.base.scans = served.counters.scans;
-  result.base.upserts = served.counters.upserts;
-  result.base.get_hits = served.counters.get_hits;
-  result.base.failed_ops = served.counters.failed_ops;
-  result.base.digest = served.digest;
-
-  if (options.flush_at_end) {
-    if (options.fallible) {
-      if (!checkpoint_with_retries(*dict_, 200).ok()) {
-        ++result.base.failed_ops;
-      }
-    } else {
-      dict_->flush();
-    }
+void ConcurrentRunResult::export_metrics(stats::MetricsRegistry& reg,
+                                         std::string_view prefix) const {
+  const std::string p(prefix);
+  reg.add(p + "ops", base.ops());
+  reg.add(p + "failed_ops", base.failed_ops);
+  reg.add(p + "batches", batches);
+  reg.add(p + "batch_ios", batch_ios);
+  reg.set(p + "serial_seconds", sim::to_seconds(serial_elapsed));
+  reg.set(p + "concurrent_seconds", sim::to_seconds(concurrent_elapsed));
+  reg.set(p + "speedup", speedup());
+  reg.set(p + "throughput_ops_per_sec", throughput_ops_per_sec());
+  reg.set(p + "max_lane_depth", static_cast<double>(max_lane_depth));
+  for (size_t i = 0; i < lane_ios.size(); ++i) {
+    reg.add(p + strfmt("lane.%zu.ios", i), lane_ios[i]);
   }
-  result.base.sim_elapsed = io_->now() - before;
-
-  result.concurrent_elapsed = served.concurrent_elapsed;
-  result.speedup = served.speedup();
-  result.throughput_ops_per_sec = served.throughput_ops_per_sec();
-  result.latency = std::move(served.latency);
-  result.batches = served.batches;
-  result.batch_ios = served.batch_ios;
-  result.lane_ios = std::move(served.lane_ios);
-  result.max_lane_depth = served.max_lane_depth;
-  return result;
+  stats::export_histogram_summary(reg, p + "latency_ns", latency);
 }
 
 PutGetResult run_put_get(kv::Dictionary& dict, const PutGetSpec& spec) {

@@ -3,9 +3,11 @@
 // tree from EngineFactory or a ShardedEngine composition — through these
 // loops instead of carrying per-tree copies of setup/drive/teardown code.
 //
-// Three entry points, by what the caller needs reproduced:
+// Four entry points, by what the caller needs reproduced:
 //   - run(): OpGenerator-driven mixed workload with a result digest, for
 //     cross-engine differential comparison and generic driving.
+//   - run_concurrent(): the same op loop, recording each op's IO chain,
+//     then re-timed under k concurrent clients by serve::replay.
 //   - run_put_get(): the fixed put/get/scan loop the benches and the CLI
 //     have always used, byte-for-byte (same RNG draws, same key strings),
 //     so pre-refactor simulated times are preserved exactly.
@@ -19,13 +21,16 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kv/dictionary.h"
+#include "kv/op_apply.h"
 #include "kv/workload.h"
+#include "serve/io_chain.h"
 #include "serve/scheduler.h"
 #include "sim/device.h"
-#include "util/histogram.h"
+#include "stats/metrics.h"
 
 namespace damkit::harness {
 
@@ -41,46 +46,39 @@ struct WorkloadRunOptions {
   bool flush_at_end = true;
 };
 
-struct WorkloadRunResult {
-  uint64_t puts = 0, gets = 0, erases = 0, scans = 0, upserts = 0;
-  uint64_t get_hits = 0;
-  uint64_t failed_ops = 0;
+/// The ApplyCounters of the ops (failed_ops also counts a final checkpoint
+/// that never landed) plus what the run observed and cost.
+struct WorkloadRunResult : kv::ApplyCounters {
   /// FNV-1a over every observed read result (get presence + value bytes,
   /// scan pairs). Two engines given the same spec and op count agree on
   /// this digest iff they returned identical data.
-  uint64_t digest = 14695981039346656037ULL;
+  uint64_t digest = kv::kFnvOffsetBasis;
   sim::SimTime sim_elapsed = 0;
 };
 
-/// run_concurrent(): the serving-layer entry point. The base fields mirror
-/// run() exactly — same counters, same digest, same serial simulated time
-/// — plus the concurrent timeline computed by serve::Scheduler.
-struct ConcurrentRunOptions {
-  /// Client sessions (the CLI/bench --clients flag).
-  uint64_t clients = 1;
-  /// Per-client admission depth (--inflight).
-  uint64_t inflight = 4;
-  bool fallible = false;
-  bool flush_at_end = true;
-  /// Fresh same-timing device for the concurrent replay; when absent the
-  /// concurrent timeline equals the serial one (see serve::ServeConfig).
-  std::function<std::unique_ptr<sim::Device>()> replay_device_factory;
-  /// Dispatch-lane map (die/shard) for replay; default single lane.
-  std::function<size_t(uint64_t)> lane_of;
-  size_t lanes = 1;
-};
+/// run_concurrent(): run()'s options plus the replay's (client count,
+/// admission depth, replay device, dispatch lanes). Without a replay
+/// device the concurrent timeline equals the serial one.
+struct ConcurrentRunOptions : WorkloadRunOptions, serve::ReplayConfig {};
 
-struct ConcurrentRunResult {
+/// The replayed concurrent timeline on top of what run() reports.
+struct ConcurrentRunResult : serve::ReplayResult {
   /// Identical to what run() would report for the same (spec, ops).
   WorkloadRunResult base;
-  sim::SimTime concurrent_elapsed = 0;
-  double speedup = 1.0;
-  double throughput_ops_per_sec = 0.0;
-  Histogram latency;  // per-op ns under concurrency
-  uint64_t batches = 0;
-  uint64_t batch_ios = 0;
-  std::vector<uint64_t> lane_ios;
-  uint64_t max_lane_depth = 0;
+  /// Data-phase makespan: the ops applied back to back on the serving
+  /// device, without the final flush.
+  sim::SimTime serial_elapsed = 0;
+
+  /// serial / concurrent (>= 1 when concurrency helps).
+  double speedup() const;
+  /// Ops per simulated second under concurrency.
+  double throughput_ops_per_sec() const;
+
+  /// Export "<prefix>ops"/"failed_ops", elapsed/speedup/throughput
+  /// gauges, batch counters, per-lane IO counts, and "<prefix>latency_ns"
+  /// (+ .p50/.p99/.p999 via stats::export_histogram_summary).
+  void export_metrics(stats::MetricsRegistry& reg,
+                      std::string_view prefix) const;
 };
 
 class WorkloadRunner {
@@ -97,9 +95,12 @@ class WorkloadRunner {
   WorkloadRunResult run(const kv::WorkloadSpec& spec, uint64_t ops,
                         const WorkloadRunOptions& options = {});
 
-  /// Serve the same op stream through k concurrent client sessions (see
-  /// serve::Scheduler). Digest and counters equal run()'s by construction;
-  /// the concurrent makespan, speedup, and latency tails are added on top.
+  /// Serve the same op stream to k concurrent clients: op i belongs to
+  /// client i mod k. run()'s loop applies the ops and records each one's
+  /// IO chain, then serve::replay re-times the chains (see
+  /// serve/scheduler.h). Digest and counters equal run()'s by
+  /// construction; the concurrent makespan, speedup, and latency tails
+  /// are added on top.
   ConcurrentRunResult run_concurrent(const kv::WorkloadSpec& spec,
                                      uint64_t ops,
                                      const ConcurrentRunOptions& options = {});
@@ -107,6 +108,19 @@ class WorkloadRunner {
   kv::Dictionary& dictionary() { return *dict_; }
 
  private:
+  /// What the op loop records for run_concurrent().
+  struct DataPhase {
+    std::vector<serve::OpIoChain> chains;  // op i's chain at index i
+    sim::SimTime elapsed = 0;              // the ops alone, no final flush
+  };
+
+  /// The one op loop behind run() and run_concurrent(): the first `ops`
+  /// ops of `spec`'s stream in generator order through kv::apply_op, then
+  /// the flush/checkpoint tail. Fills *recorded when it is non-null.
+  WorkloadRunResult drive(const kv::WorkloadSpec& spec, uint64_t ops,
+                          const WorkloadRunOptions& options,
+                          DataPhase* recorded);
+
   kv::Dictionary* dict_;
   sim::IoContext* io_;
 };

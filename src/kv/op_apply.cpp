@@ -37,8 +37,6 @@ void apply_op(Dictionary& dict, const Op& op, uint64_t global_index,
               const WorkloadSpec& spec, const ApplyOptions& options,
               uint64_t* digest, ApplyCounters* counters,
               ApplyScratch* scratch) {
-  thread_local ApplyScratch fallback;
-  if (scratch == nullptr) scratch = &fallback;
   std::string& key = scratch->key;
   encode_key_to(op.key_id, spec.key_bytes, &key);
   switch (op.type) {

@@ -1,18 +1,12 @@
 #include "serve/io_chain.h"
 
-#include "util/status.h"
-
 namespace damkit::serve {
 
-OpIoChain build_io_chain(const std::vector<sim::TraceRecord>& records,
-                         size_t begin, size_t end) {
-  DAMKIT_CHECK_MSG(begin <= end && end <= records.size(),
-                   "bad trace slice [" << begin << ", " << end << ") of "
-                                       << records.size());
+OpIoChain build_io_chain(const std::vector<sim::TraceRecord>& records) {
   OpIoChain chain;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < records.size(); ++i) {
     const sim::TraceRecord& r = records[i];
-    if (chain.stages.empty() || records[i - 1].submit != r.submit) {
+    if (i == 0 || records[i - 1].submit != r.submit) {
       chain.stages.emplace_back();
     }
     chain.stages.back().ios.push_back({r.kind, r.offset, r.length});

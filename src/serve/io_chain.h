@@ -1,11 +1,11 @@
 // Per-op IO chains recovered from a device trace.
 //
-// The serving layer separates *what* an op does (its engine data path,
-// executed once, sequentially) from *when* its IOs land on the device under
-// k concurrent clients (computed by replaying recovered chains through a
-// discrete-event loop — see scheduler.h). This file is the bridge: given
-// the slice of IoTrace records an op produced, reconstruct its dependency
-// structure as a chain of stages.
+// A concurrent run separates *what* an op does (its engine data path,
+// executed once, in generator order — see WorkloadRunner::run_concurrent)
+// from *when* its IOs land on the device under k concurrent clients
+// (computed by replaying recovered chains through a discrete-event loop —
+// see scheduler.h). This file is the bridge: given the IoTrace records one
+// op produced, reconstruct its dependency structure as a chain of stages.
 //
 // Recovery rule: records sharing a submission time form one stage. This is
 // exact under the IoContext discipline — batch members are submitted at the
@@ -40,8 +40,7 @@ struct OpIoChain {
   }
 };
 
-/// Rebuild the chain for the trace slice [begin, end).
-OpIoChain build_io_chain(const std::vector<sim::TraceRecord>& records,
-                         size_t begin, size_t end);
+/// Rebuild the chain of the op that produced `records` (and nothing else).
+OpIoChain build_io_chain(const std::vector<sim::TraceRecord>& records);
 
 }  // namespace damkit::serve

@@ -1,23 +1,14 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "serve/session.h"
-#include "sim/trace.h"
-#include "util/table.h"
+#include "util/status.h"
 
 namespace damkit::serve {
 
 namespace {
-
-/// One served op, ready for replay: which client carried it and the IO
-/// chain it produced on the serving device.
-struct OpRecord {
-  OpIoChain chain;
-};
 
 /// Replay-time state of one admitted op.
 struct OpState {
@@ -29,59 +20,18 @@ struct OpState {
 
 }  // namespace
 
-double ServeResult::speedup() const {
-  if (concurrent_elapsed == 0) return 1.0;
-  return static_cast<double>(serial_elapsed) /
-         static_cast<double>(concurrent_elapsed);
-}
-
-double ServeResult::throughput_ops_per_sec() const {
-  const double secs = sim::to_seconds(concurrent_elapsed);
-  if (secs <= 0.0) return 0.0;
-  return static_cast<double>(ops) / secs;
-}
-
-void ServeResult::export_metrics(stats::MetricsRegistry& reg,
-                                 std::string_view prefix) const {
-  const std::string p(prefix);
-  reg.add(p + "ops", ops);
-  reg.add(p + "failed_ops", counters.failed_ops);
-  reg.add(p + "batches", batches);
-  reg.add(p + "batch_ios", batch_ios);
-  reg.set(p + "serial_seconds", sim::to_seconds(serial_elapsed));
-  reg.set(p + "concurrent_seconds", sim::to_seconds(concurrent_elapsed));
-  reg.set(p + "speedup", speedup());
-  reg.set(p + "throughput_ops_per_sec", throughput_ops_per_sec());
-  reg.set(p + "max_lane_depth", static_cast<double>(max_lane_depth));
-  for (size_t i = 0; i < lane_ios.size(); ++i) {
-    reg.add(p + strfmt("lane.%zu.ios", i), lane_ios[i]);
-  }
-  stats::export_histogram_summary(reg, p + "latency_ns", latency);
-}
-
-Scheduler::Scheduler(kv::Dictionary& dict, sim::IoContext& io,
-                     ServeConfig config)
-    : dict_(&dict), io_(&io), config_(std::move(config)) {
-  DAMKIT_CHECK_MSG(config_.clients >= 1, "need at least one client");
-  DAMKIT_CHECK_MSG(config_.inflight >= 1, "need inflight depth >= 1");
-  DAMKIT_CHECK_MSG(config_.lanes >= 1, "need at least one dispatch lane");
-}
-
-namespace {
-
-/// The discrete-event replay loop (see the file comment in scheduler.h).
-void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
-            ServeResult* result) {
-  result->lane_ios.assign(config.lanes, 0);
-  if (!config.replay_device_factory || records.empty()) {
-    // No replay device: the concurrent timeline degenerates to the
-    // serial one (still correct for k = 1).
-    result->concurrent_elapsed = result->serial_elapsed;
-    return;
-  }
+// The discrete-event replay loop (see the file comment in scheduler.h).
+ReplayResult replay(const std::vector<OpIoChain>& chains,
+                    const ReplayConfig& config) {
+  DAMKIT_CHECK_MSG(config.clients >= 1, "need at least one client");
+  DAMKIT_CHECK_MSG(config.inflight >= 1, "need inflight depth >= 1");
+  DAMKIT_CHECK_MSG(config.lanes >= 1, "need at least one dispatch lane");
+  ReplayResult result;
+  result.lane_ios.assign(config.lanes, 0);
+  if (!config.replay_device_factory || chains.empty()) return result;
   const std::unique_ptr<sim::Device> dev = config.replay_device_factory();
   const uint64_t k = config.clients;
-  const size_t n = records.size();
+  const size_t n = chains.size();
 
   std::vector<OpState> state(n);
   // Per client: next op to admit (ops of client c are c, c+k, c+2k, ...)
@@ -105,7 +55,7 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
   };
   const auto complete = [&](size_t id, sim::SimTime t) {
     state[id].done = true;
-    result->latency.record(t - state[id].issue);
+    result.latency.record(t - state[id].issue);
     makespan = std::max(makespan, t);
     const uint64_t c = id % k;
     --open_count[c];
@@ -136,7 +86,7 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
     for (size_t idx = 0; idx < active_count; ++idx) {
       const size_t id = active[idx];
       if (state[id].ready == t &&
-          state[id].next_stage == records[id].chain.stages.size()) {
+          state[id].next_stage == chains[id].stages.size()) {
         complete(id, t);
         completed_any = true;
       }
@@ -152,23 +102,23 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
     }
     for (auto& q : lane_queues) q.clear();
     for (const size_t id : runnable) {
-      const IoStage& stage = records[id].chain.stages[state[id].next_stage];
+      const IoStage& stage = chains[id].stages[state[id].next_stage];
       for (sim::IoRequest req : stage.ios) {
-        // Per-client session → device queue pair: the owning client's id
-        // rides on the request, so a multi-queue device lands each
-        // session on its own SQ/CQ pair instead of one shared SQ.
+        // Per-client device queue pair: the owning client's id rides on
+        // the request, so a multi-queue device lands each client on its
+        // own SQ/CQ pair instead of one shared SQ.
         req.queue = static_cast<uint32_t>(id % k);
         const size_t lane =
             config.lane_of ? config.lane_of(req.offset) % config.lanes : 0;
         lane_queues[lane].emplace_back(req, id);
-        ++result->lane_ios[lane];
+        ++result.lane_ios[lane];
       }
     }
     std::vector<sim::IoRequest> reqs;
     std::vector<size_t> owner;
     for (const auto& q : lane_queues) {
-      result->max_lane_depth =
-          std::max<uint64_t>(result->max_lane_depth, q.size());
+      result.max_lane_depth =
+          std::max<uint64_t>(result.max_lane_depth, q.size());
     }
     for (size_t depth = 0;; ++depth) {
       bool any = false;
@@ -183,8 +133,8 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
     }
 
     const std::vector<sim::IoCompletion> cs = dev->submit_batch(reqs, t);
-    ++result->batches;
-    result->batch_ios += reqs.size();
+    ++result.batches;
+    result.batch_ios += reqs.size();
 
     std::unordered_map<size_t, sim::SimTime> stage_finish;
     for (size_t i = 0; i < cs.size(); ++i) {
@@ -194,60 +144,14 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
     for (const size_t id : runnable) {
       const sim::SimTime f = stage_finish[id];
       ++state[id].next_stage;
-      if (state[id].next_stage == records[id].chain.stages.size()) {
+      if (state[id].next_stage == chains[id].stages.size()) {
         complete(id, f);
       } else {
         state[id].ready = f;
       }
     }
   }
-  result->concurrent_elapsed = makespan;
-}
-
-}  // namespace
-
-ServeResult Scheduler::serve(const kv::WorkloadSpec& spec, uint64_t ops) {
-  ServeResult result;
-  result.ops = ops;
-
-  // --- Data phase: commit ops in generator order, record IO chains. ---
-  sim::Device& dev = io_->device();
-  sim::IoTrace trace;
-  dev.set_trace(&trace);
-
-  std::vector<std::unique_ptr<ClientSession>> sessions;
-  sessions.reserve(config_.clients);
-  for (uint64_t c = 0; c < config_.clients; ++c) {
-    sessions.push_back(std::make_unique<ClientSession>(
-        spec, c, config_.clients, ops, config_.queue_capacity));
-  }
-
-  std::vector<OpRecord> records;
-  records.reserve(ops);
-  const sim::SimTime before = io_->now();
-  const kv::ApplyOptions apply_options{config_.fallible};
-  kv::ApplyScratch scratch;  // all sessions apply on this thread
-  for (uint64_t i = 0; i < ops; ++i) {
-    ClientOp client_op;
-    const bool got = sessions[i % config_.clients]->next(&client_op);
-    DAMKIT_CHECK_MSG(got, "session " << i % config_.clients
-                                     << " ended before op " << i);
-    DAMKIT_CHECK_MSG(client_op.global_index == i,
-                     "session " << i % config_.clients << " delivered op "
-                                << client_op.global_index << " at slot "
-                                << i);
-    const size_t trace_begin = trace.size();
-    kv::apply_op(*dict_, client_op.op, i, spec, apply_options,
-                 &result.digest, &result.counters, &scratch);
-    records.push_back(
-        {build_io_chain(trace.records(), trace_begin, trace.size())});
-  }
-  dev.set_trace(nullptr);
-  sessions.clear();  // joins the producers
-  result.serial_elapsed = io_->now() - before;
-
-  // --- Replay phase: re-time the chains under k-client concurrency. ---
-  replay(records, config_, &result);
+  result.concurrent_elapsed = makespan;
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "kv/engine.h"
 #include "kv/slice.h"
@@ -15,6 +16,7 @@
 #include "sim/ssd.h"
 #include "util/bytes.h"
 #include "util/table.h"
+#include "wal/durable_engine.h"
 
 namespace damkit {
 namespace {
@@ -158,12 +160,61 @@ TEST(WorkloadRunnerTest, RunConcurrentMatchesRunAndAddsTheTimeline) {
   // The concurrent timeline rides on top: a full latency distribution and
   // a makespan no worse than the serialized one.
   EXPECT_EQ(run.latency.count(), 3000u);
-  EXPECT_GE(run.speedup, 1.0);
-  EXPECT_GT(run.throughput_ops_per_sec, 0.0);
+  EXPECT_GE(run.speedup(), 1.0);
+  EXPECT_GT(run.throughput_ops_per_sec(), 0.0);
   EXPECT_GT(run.batches, 0u);
   uint64_t lane_total = 0;
   for (const uint64_t n : run.lane_ios) lane_total += n;
   EXPECT_EQ(lane_total, run.batch_ios);
+}
+
+// The WAL wrapper sees one op stream in generator order whether run() or
+// run_concurrent() drives it, so its log holds the same mutations.
+TEST(WorkloadRunnerTest, RunConcurrentOverADurableEngineMatchesRun) {
+  struct Stack {
+    std::unique_ptr<sim::SsdDevice> dev;
+    std::unique_ptr<sim::IoContext> io;
+    std::unique_ptr<wal::DurableEngine> eng;
+  };
+  const auto build = [] {
+    Stack s;
+    s.dev = std::make_unique<sim::SsdDevice>(sim::testbed_ssd_profile());
+    s.io = std::make_unique<sim::IoContext>(*s.dev);
+    auto inner =
+        kv::make_engine(kv::EngineKind::kBTree, *s.dev, *s.io, small_config());
+    s.eng = std::make_unique<wal::DurableEngine>(
+        std::move(inner), *s.dev, *s.io,
+        wal::default_durability_config(s.dev->capacity_bytes()));
+    harness::WorkloadRunner(*s.eng, *s.io).bulk_load(500, mixed_spec());
+    return s;
+  };
+  Stack ref = build();
+  const harness::WorkloadRunResult reference =
+      harness::WorkloadRunner(*ref.eng, *ref.io).run(mixed_spec(), 2000);
+
+  Stack served = build();
+  harness::ConcurrentRunOptions copts;
+  copts.clients = 4;
+  const sim::SsdConfig profile = sim::testbed_ssd_profile();
+  copts.replay_device_factory = [profile] {
+    return std::make_unique<sim::SsdDevice>(profile);
+  };
+  const harness::ConcurrentRunResult run =
+      harness::WorkloadRunner(*served.eng, *served.io)
+          .run_concurrent(mixed_spec(), 2000, copts);
+
+  EXPECT_EQ(run.base.digest, reference.digest);
+  EXPECT_EQ(run.base.puts, reference.puts);
+  EXPECT_EQ(run.base.gets, reference.gets);
+  EXPECT_EQ(run.base.erases, reference.erases);
+  EXPECT_EQ(run.base.scans, reference.scans);
+  EXPECT_EQ(run.base.upserts, reference.upserts);
+  EXPECT_EQ(run.base.get_hits, reference.get_hits);
+  EXPECT_EQ(run.base.failed_ops, reference.failed_ops);
+  EXPECT_EQ(run.base.sim_elapsed, reference.sim_elapsed);
+  EXPECT_GT(reference.puts, 0u);
+  EXPECT_EQ(served.eng->durable_mutations(), ref.eng->durable_mutations());
+  EXPECT_EQ(run.latency.count(), 2000u);
 }
 
 TEST(WorkloadRunnerTest, CheckpointWithRetriesSucceedsImmediatelyWhenClean) {

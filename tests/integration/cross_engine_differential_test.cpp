@@ -238,8 +238,9 @@ harness::ConcurrentRunResult drive_concurrent(kv::Dictionary& dict,
 
 // The differential extended to the serving layer: a k-client concurrent
 // run must observe exactly the data the single-client reference observed,
-// for every engine and the sharded composition. The scheduler's virtual
-// round-robin makes this an equality, not a statistical claim.
+// for every engine and the sharded composition. run_concurrent applies
+// the ops in generator order through run()'s own loop, which makes this
+// an equality, not a statistical claim.
 TEST(CrossEngineDifferentialTest, ConcurrentServingMatchesSequentialReference) {
   for (const kv::EngineKind kind : kv::kAllEngineKinds) {
     sim::SsdDevice ref_dev(sim::testbed_ssd_profile());

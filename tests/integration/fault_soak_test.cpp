@@ -185,7 +185,7 @@ TEST_P(FaultSoakTest, LsmTreeSurvivesWithCompression) {
 // path against a fault-injecting device. The accounting contract is the
 // same as the sequential soak — every injected fault is either retried
 // away or surfaced (injected == retries + give_ups) — and the concurrent
-// scheduler must not perturb it: same seed, same split, any k.
+// replay must not perturb it: same seed, same split, any k.
 TEST(FaultSoakServingTest, ConcurrentClientsKeepFaultAccounting) {
   const auto soak_once = [](uint64_t clients) {
     sim::SsdDevice inner(sim::testbed_ssd_profile());

@@ -1,8 +1,9 @@
-// serve::Scheduler: the record/replay split must keep a k-client run
-// bit-identical to the single-client reference (digest, counters, serial
-// time), while the replayed concurrent timeline is deterministic, faster
-// when the device has parallelism to exploit, and falls back to the serial
-// makespan when no replay device is supplied.
+// serve::replay behind WorkloadRunner::run_concurrent: the record/replay
+// split must keep a k-client run bit-identical to the single-client
+// reference (digest, counters, serial time), while the replayed concurrent
+// timeline is deterministic, faster when the device has parallelism to
+// exploit, and falls back to the serial makespan when no replay device is
+// supplied.
 #include "serve/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 
 #include "harness/workload_runner.h"
 #include "kv/engine.h"
-#include "serve/session.h"
 #include "sim/mq_ssd.h"
 #include "sim/profiles.h"
 #include "sim/ssd.h"
@@ -26,7 +26,7 @@
 namespace damkit {
 namespace {
 
-// The cache must be small against the working set: a scheduler test where
+// The cache must be small against the working set: a replay test where
 // every op hits cache has nothing to overlap in replay.
 kv::EngineConfig small_config() {
   kv::EngineConfig cfg;
@@ -49,8 +49,9 @@ kv::WorkloadSpec mixed_spec() {
   return spec;
 }
 
-serve::ServeConfig replayed_config(uint64_t clients, uint64_t inflight = 4) {
-  serve::ServeConfig cfg;
+harness::ConcurrentRunOptions replayed_config(uint64_t clients,
+                                              uint64_t inflight = 4) {
+  harness::ConcurrentRunOptions cfg;
   cfg.clients = clients;
   cfg.inflight = inflight;
   const sim::SsdConfig profile = sim::testbed_ssd_profile();
@@ -64,65 +65,33 @@ serve::ServeConfig replayed_config(uint64_t clients, uint64_t inflight = 4) {
   return cfg;
 }
 
-serve::ServeResult serve_once(const serve::ServeConfig& cfg, uint64_t ops) {
+using Served = harness::ConcurrentRunResult;
+
+Served serve_once(const harness::ConcurrentRunOptions& cfg, uint64_t ops) {
   sim::SsdDevice dev(sim::testbed_ssd_profile());
   sim::IoContext io(dev);
   const auto dict =
       kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
-  harness::WorkloadRunner(*dict, io).bulk_load(1500, mixed_spec());
-  serve::Scheduler scheduler(*dict, io, cfg);
-  return scheduler.serve(mixed_spec(), ops);
-}
-
-TEST(ClientSessionTest, ProducesItsResidueClassInOrder) {
-  serve::ClientSession session(mixed_spec(), /*client_id=*/1, /*clients=*/3,
-                               /*total_ops=*/10, /*queue_capacity=*/4);
-  EXPECT_EQ(session.op_count(), 3u);  // global indices 1, 4, 7
-  serve::ClientOp op;
-  // Pop exactly op_count() ops — the controller's contract; the stream has
-  // no end-of-stream marker (the destructor closes the queue).
-  for (const uint64_t expected : {1u, 4u, 7u}) {
-    ASSERT_TRUE(session.next(&op));
-    EXPECT_EQ(op.global_index, expected);
-  }
-}
-
-TEST(ClientSessionTest, RoundRobinMergeReconstructsTheGeneratorStream) {
-  const kv::WorkloadSpec spec = mixed_spec();
-  constexpr uint64_t kClients = 4;
-  constexpr uint64_t kOps = 23;  // not a multiple of k: ragged tail
-  std::vector<std::unique_ptr<serve::ClientSession>> sessions;
-  for (uint64_t c = 0; c < kClients; ++c) {
-    sessions.push_back(std::make_unique<serve::ClientSession>(
-        spec, c, kClients, kOps, /*queue_capacity=*/4));
-  }
-  kv::OpGenerator generator(spec);
-  for (uint64_t i = 0; i < kOps; ++i) {
-    const kv::Op expected = generator.next();
-    serve::ClientOp got;
-    ASSERT_TRUE(sessions[i % kClients]->next(&got));
-    EXPECT_EQ(got.global_index, i);
-    EXPECT_EQ(got.op.type, expected.type);
-    EXPECT_EQ(got.op.key_id, expected.key_id);
-    EXPECT_EQ(got.op.scan_length, expected.scan_length);
-  }
+  harness::WorkloadRunner runner(*dict, io);
+  runner.bulk_load(1500, mixed_spec());
+  return runner.run_concurrent(mixed_spec(), ops, cfg);
 }
 
 TEST(SchedulerTest, KClientDigestEqualsSingleClientReference) {
-  const serve::ServeResult one = serve_once(replayed_config(1), 2000);
-  const serve::ServeResult eight = serve_once(replayed_config(8), 2000);
-  EXPECT_EQ(eight.digest, one.digest);
+  const Served one = serve_once(replayed_config(1), 2000);
+  const Served eight = serve_once(replayed_config(8), 2000);
+  EXPECT_EQ(eight.base.digest, one.base.digest);
   EXPECT_EQ(eight.serial_elapsed, one.serial_elapsed);
-  EXPECT_EQ(eight.counters.gets, one.counters.gets);
-  EXPECT_EQ(eight.counters.puts, one.counters.puts);
-  EXPECT_EQ(eight.counters.get_hits, one.counters.get_hits);
-  EXPECT_EQ(eight.ops, 2000u);
+  EXPECT_EQ(eight.base.gets, one.base.gets);
+  EXPECT_EQ(eight.base.puts, one.base.puts);
+  EXPECT_EQ(eight.base.get_hits, one.base.get_hits);
+  EXPECT_EQ(eight.base.ops(), 2000u);
 }
 
 TEST(SchedulerTest, ServeIsDeterministic) {
-  const serve::ServeResult a = serve_once(replayed_config(8), 2000);
-  const serve::ServeResult b = serve_once(replayed_config(8), 2000);
-  EXPECT_EQ(a.digest, b.digest);
+  const Served a = serve_once(replayed_config(8), 2000);
+  const Served b = serve_once(replayed_config(8), 2000);
+  EXPECT_EQ(a.base.digest, b.base.digest);
   EXPECT_EQ(a.serial_elapsed, b.serial_elapsed);
   EXPECT_EQ(a.concurrent_elapsed, b.concurrent_elapsed);
   EXPECT_EQ(a.batches, b.batches);
@@ -132,8 +101,8 @@ TEST(SchedulerTest, ServeIsDeterministic) {
 }
 
 TEST(SchedulerTest, ParallelDeviceShortensTheConcurrentMakespan) {
-  const serve::ServeResult one = serve_once(replayed_config(1), 2000);
-  const serve::ServeResult eight = serve_once(replayed_config(8), 2000);
+  const Served one = serve_once(replayed_config(1), 2000);
+  const Served eight = serve_once(replayed_config(8), 2000);
   EXPECT_LT(eight.concurrent_elapsed, one.concurrent_elapsed);
   EXPECT_GT(eight.speedup(), 1.0);
   // Every op's latency is observed exactly once.
@@ -141,22 +110,22 @@ TEST(SchedulerTest, ParallelDeviceShortensTheConcurrentMakespan) {
 }
 
 TEST(SchedulerTest, DeeperAdmissionNeverSlowsTheReplay) {
-  const serve::ServeResult shallow = serve_once(replayed_config(4, 1), 2000);
-  const serve::ServeResult deep = serve_once(replayed_config(4, 8), 2000);
+  const Served shallow = serve_once(replayed_config(4, 1), 2000);
+  const Served deep = serve_once(replayed_config(4, 8), 2000);
   EXPECT_LE(deep.concurrent_elapsed, shallow.concurrent_elapsed);
 }
 
 TEST(SchedulerTest, WithoutReplayDeviceConcurrentEqualsSerial) {
-  serve::ServeConfig cfg;
+  harness::ConcurrentRunOptions cfg;
   cfg.clients = 4;
-  const serve::ServeResult result = serve_once(cfg, 1000);
+  const Served result = serve_once(cfg, 1000);
   EXPECT_EQ(result.concurrent_elapsed, result.serial_elapsed);
   EXPECT_DOUBLE_EQ(result.speedup(), 1.0);
   EXPECT_EQ(result.batches, 0u);
 }
 
 TEST(SchedulerTest, LaneAccountingIsConserved) {
-  const serve::ServeResult result = serve_once(replayed_config(8), 2000);
+  const Served result = serve_once(replayed_config(8), 2000);
   uint64_t lane_total = 0;
   for (const uint64_t n : result.lane_ios) lane_total += n;
   EXPECT_EQ(lane_total, result.batch_ios);
@@ -168,8 +137,7 @@ TEST(SchedulerTest, LaneAccountingIsConserved) {
 
 // Replay-device spy: forwards timing to an owned MqSsdDevice while
 // tallying which SQ/CQ pair each request named, into shared state that
-// outlives the device (the scheduler destroys its replay device before
-// serve() returns).
+// outlives the device (the replay destroys its device before it returns).
 class QueueSpyDevice final : public sim::Device {
  public:
   QueueSpyDevice(const sim::SsdConfig& cfg,
@@ -196,14 +164,14 @@ class QueueSpyDevice final : public sim::Device {
   std::shared_ptr<std::map<uint32_t, uint64_t>> counts_;
 };
 
-// PR-7's sessions must map onto the MQ device's queue pairs: with k
-// clients replaying onto an MqSsdDevice, every request carries its
-// owning client's id in IoRequest::queue, so all k pairs see traffic —
-// not one shared SQ.
+// Clients must map onto the MQ device's queue pairs: with k clients
+// replaying onto an MqSsdDevice, every request carries its owning
+// client's id in IoRequest::queue, so all k pairs see traffic — not one
+// shared SQ.
 TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {
   const sim::SsdConfig profile = sim::testbed_mq_profile();
   const auto counts = std::make_shared<std::map<uint32_t, uint64_t>>();
-  serve::ServeConfig cfg;
+  harness::ConcurrentRunOptions cfg;
   cfg.clients = 4;
   cfg.replay_device_factory = [profile,
                                counts]() -> std::unique_ptr<sim::Device> {
@@ -213,7 +181,7 @@ TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {
   cfg.lane_of = [profile](uint64_t offset) {
     return static_cast<size_t>(profile.die_of(offset));
   };
-  const serve::ServeResult result = serve_once(cfg, 2000);
+  const Served result = serve_once(cfg, 2000);
   EXPECT_GT(result.batch_ios, 0u);
   EXPECT_EQ(counts->size(), 4u) << "expected one queue id per client";
   uint64_t total = 0;
@@ -226,7 +194,7 @@ TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {
 }
 
 TEST(SchedulerTest, ExportMetricsCoversTheServingSurface) {
-  const serve::ServeResult result = serve_once(replayed_config(8), 1000);
+  const Served result = serve_once(replayed_config(8), 1000);
   stats::MetricsRegistry reg;
   result.export_metrics(reg, "serve.");
   EXPECT_EQ(reg.counter("serve.ops"), 1000u);

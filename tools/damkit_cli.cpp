@@ -48,7 +48,7 @@ int usage() {
       "  --wal wraps the engine in the write-ahead log + snapshot layer\n"
       "  (crash-consistent durability; off by default). --crash-at N kills\n"
       "  the device at its N-th checked IO, then reboots and recovers —\n"
-      "  requires --wal, incompatible with --clients > 1.\n"
+      "  requires --wal.\n"
       "  --device mq-ssd is the multi-queue NVMe model (per-client SQ/CQ\n"
       "  pairs); --queue-depth and --completion-mode tune its admission\n"
       "  bound and completion cost (they also apply to plain ssd profiles,\n"
@@ -277,7 +277,7 @@ int cmd_metrics(int argc, char** argv) {
   uint64_t ops = 20000;
   uint64_t fault_seed = 0;  // 0 = fault injection off
   double fault_rate = 0.01;
-  uint64_t clients = 1;  // > 1 serves through the concurrent scheduler
+  uint64_t clients = 1;  // > 1 serves through run_concurrent
   uint64_t inflight = 4;
   DeviceOverrides overrides;  // --queue-depth / --completion-mode
   bool use_wal = false;   // wrap the engine in the durability layer
@@ -345,11 +345,8 @@ int cmd_metrics(int argc, char** argv) {
       return usage();
     }
   }
-  // A crash demo without the durability layer has nothing to recover, and
-  // the concurrent scheduler drives ops from worker threads the (single
-  // LSN stream) WAL wrapper does not serialize.
+  // A crash demo without the durability layer has nothing to recover.
   if (crash_at != 0 && !use_wal) return usage();
-  if (use_wal && clients > 1) return usage();
   std::unique_ptr<sim::Device> inner = make_device(device_spec, overrides);
   if (inner == nullptr || ops == 0) return usage();
   if (fault_rate < 0.0 || fault_rate > 1.0) return usage();
@@ -397,9 +394,9 @@ int cmd_metrics(int argc, char** argv) {
   std::optional<harness::ConcurrentRunResult> served;
   std::optional<harness::WorkloadRunResult> seq_run;
   if (clients > 1) {
-    // Concurrent serving demo: bulk-load, then serve a mixed workload
-    // through k client sessions with the requested admission depth,
-    // replaying the concurrent timeline on a fresh same-spec device.
+    // Concurrent serving demo: bulk-load, then serve a mixed workload to
+    // k clients with the requested admission depth, replaying the
+    // concurrent timeline on a fresh same-spec device.
     harness::WorkloadRunner runner(*tree, io);
     kv::WorkloadSpec wspec;
     if (preset.has_value()) {
@@ -507,13 +504,7 @@ int cmd_metrics(int argc, char** argv) {
   if (served.has_value()) {
     reg.set("serve.clients", static_cast<double>(clients));
     reg.set("serve.inflight", static_cast<double>(inflight));
-    reg.set("serve.speedup", served->speedup);
-    reg.set("serve.throughput_ops_per_sec", served->throughput_ops_per_sec);
-    reg.set("serve.concurrent_seconds",
-            sim::to_seconds(served->concurrent_elapsed));
-    reg.add("serve.batches", served->batches);
-    reg.add("serve.batch_ios", served->batch_ios);
-    stats::export_histogram_summary(reg, "serve.latency_ns", served->latency);
+    served->export_metrics(reg, "serve.");
   }
 
   if (served.has_value()) {
@@ -528,8 +519,8 @@ int cmd_metrics(int argc, char** argv) {
     std::printf(
         "concurrent: %.3f s simulated (speedup %.2fx, %.0f ops/s), "
         "latency p50 %llu us, p99 %llu us, p999 %llu us\n",
-        sim::to_seconds(served->concurrent_elapsed), served->speedup,
-        served->throughput_ops_per_sec,
+        sim::to_seconds(served->concurrent_elapsed), served->speedup(),
+        served->throughput_ops_per_sec(),
         static_cast<unsigned long long>(served->latency.percentile(50.0) /
                                         sim::kNsPerUs),
         static_cast<unsigned long long>(served->latency.percentile(99.0) /
