@@ -13,7 +13,9 @@
 //   cpu.e2e.*       WorkloadRunner ops/sec per engine on a small-cache
 //                   config (heavy node (de)serialization traffic).
 //
-// All gauges are medians of N repetitions on steady_clock. The legacy
+// All gauges are medians of N repetitions on steady_clock; the micro
+// sections time legacy and slotted in interleaved pairs and gate on the
+// median per-pair ratio (see paired_wall_ns). The legacy
 // reference implementations live in this file on purpose: the speedup
 // gates are same-binary, same-machine ratios, so they hold anywhere,
 // unlike absolute nanoseconds. The e2e section is additionally compared
@@ -49,34 +51,79 @@ double elapsed_ns(Clock::time_point t0, Clock::time_point t1) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
+/// Wall-clock nanoseconds of one run of `fn`.
+template <typename Fn>
+double time_ns(Fn&& fn) {
+  const Clock::time_point t0 = Clock::now();
+  fn();
+  return elapsed_ns(t0, Clock::now());
+}
+
+/// Nearest-rank `q`-quantile of an ascending-sorted, non-empty sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  return sorted[static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) +
+                                    0.5)];
+}
+
 /// Median wall-clock nanoseconds of `reps` runs of `fn`.
 template <typename Fn>
 double median_wall_ns(int reps, Fn&& fn) {
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const Clock::time_point t0 = Clock::now();
-    fn();
-    const Clock::time_point t1 = Clock::now();
-    samples.push_back(elapsed_ns(t0, t1));
-  }
+  for (int r = 0; r < reps; ++r) samples.push_back(time_ns(fn));
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return quantile(samples, 0.5);
 }
 
-/// Min wall-clock nanoseconds of `reps` runs — the noise-robust estimator
-/// for pure-CPU microsections (interference is strictly additive).
-template <typename Fn>
-double min_wall_ns(int reps, Fn&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const Clock::time_point t0 = Clock::now();
-    fn();
-    const Clock::time_point t1 = Clock::now();
-    const double ns = elapsed_ns(t0, t1);
-    if (r == 0 || ns < best) best = ns;
+/// Legacy-vs-slotted timing of one microsection, taken in interleaved
+/// pairs: each pair times both sides back to back, alternating which side
+/// runs first, so a noise burst or a frequency step lands inside one pair
+/// instead of on one side's whole phase. The speedup is the median of the
+/// per-pair ratios; its interquartile range shows how far to trust it.
+struct PairedTiming {
+  double legacy_ns = 0.0;   // median over pairs
+  double slotted_ns = 0.0;  // median over pairs
+  double speedup = 0.0;     // median of per-pair legacy / slotted
+  double speedup_iqr = 0.0;
+};
+
+template <typename LegacyFn, typename SlottedFn>
+PairedTiming paired_wall_ns(int pairs, LegacyFn&& legacy,
+                            SlottedFn&& slotted) {
+  std::vector<double> legacy_ns, slotted_ns, ratios;
+  for (int r = 0; r < pairs; ++r) {
+    double l, s;
+    if (r % 2 == 0) {
+      l = time_ns(legacy);
+      s = time_ns(slotted);
+    } else {
+      s = time_ns(slotted);
+      l = time_ns(legacy);
+    }
+    legacy_ns.push_back(l);
+    slotted_ns.push_back(s);
+    ratios.push_back(l / std::max(s, 1.0));
   }
-  return best;
+  std::sort(legacy_ns.begin(), legacy_ns.end());
+  std::sort(slotted_ns.begin(), slotted_ns.end());
+  std::sort(ratios.begin(), ratios.end());
+  return {quantile(legacy_ns, 0.5), quantile(slotted_ns, 0.5),
+          quantile(ratios, 0.5),
+          quantile(ratios, 0.75) - quantile(ratios, 0.25)};
+}
+
+/// Exports one microsection's paired timing under `cpu.<section>.` and
+/// prints it.
+void report_paired(const char* section, const PairedTiming& t,
+                   stats::MetricsRegistry* reg) {
+  const std::string p = std::string("cpu.") + section + ".";
+  reg->set(p + "legacy_wall_ns", t.legacy_ns);
+  reg->set(p + "slotted_wall_ns", t.slotted_ns);
+  reg->set(p + "speedup_ratio", t.speedup);
+  reg->set(p + "speedup_iqr", t.speedup_iqr);
+  std::printf(
+      "cpu.%s: legacy %.0f ns, slotted %.0f ns, speedup %.2fx (IQR %.2f)\n",
+      section, t.legacy_ns, t.slotted_ns, t.speedup, t.speedup_iqr);
 }
 
 // Defeat dead-code elimination without perturbing the measured loop.
@@ -221,7 +268,7 @@ void section_search(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
   // The fixture size is the same in quick and full mode on purpose: this
   // is the gated ratio, and the fixture models the *cached* interior
   // level (the scenario node caching exists for). Full mode buys a
-  // tighter estimator — more iterations and reps — not a different
+  // tighter estimator — more iterations and pairs — not a different
   // working set, whose cache residency would change what is measured.
   const uint32_t nodes = 48;
   const uint32_t pivots = 512;  // a 16KiB node's worth of 16-byte pivots
@@ -260,36 +307,32 @@ void section_search(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
          kv::encode_key(rng.uniform(uint64_t{nodes} * pivots * 3 + 2), 16)});
   }
 
-  // More reps than the other microsections: this is the gated ratio, and
-  // min-of-reps tightens monotonically with rep count.
+  // More pairs than the other microsections: this is the gated ratio, and
+  // its median tightens with the pair count.
   const int iters = args.quick ? 100 : 300;
-  const int reps = args.quick ? 11 : 15;
+  const int pairs = args.quick ? 11 : 15;
 
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    uint64_t acc = 0;
-    for (int it = 0; it < iters; ++it) {
-      for (const Probe& probe : probes) {
-        acc += legacy_lower_bound(legacy[probe.node], probe.key);
-      }
-    }
-    g_sink += acc;
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    uint64_t acc = 0;
-    for (int it = 0; it < iters; ++it) {
-      for (const Probe& probe : probes) {
-        acc += slotted[probe.node].lower_bound(probe.key, pivot_key);
-      }
-    }
-    g_sink += acc;
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.search.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.search.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.search.speedup_ratio", speedup);
-  std::printf("cpu.search: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-              legacy_ns, slotted_ns, speedup);
+  const PairedTiming timing = paired_wall_ns(
+      pairs,
+      [&] {
+        uint64_t acc = 0;
+        for (int it = 0; it < iters; ++it) {
+          for (const Probe& probe : probes) {
+            acc += legacy_lower_bound(legacy[probe.node], probe.key);
+          }
+        }
+        g_sink += acc;
+      },
+      [&] {
+        uint64_t acc = 0;
+        for (int it = 0; it < iters; ++it) {
+          for (const Probe& probe : probes) {
+            acc += slotted[probe.node].lower_bound(probe.key, pivot_key);
+          }
+        }
+        g_sink += acc;
+      });
+  report_paired("search", timing, reg);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,47 +343,44 @@ void section_insert(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
   const uint32_t count = 256;
   const LeafFixture fx = make_leaf_fixture(count, 16, 100, args.seed + 1);
   const int iters = args.quick ? 50 : 200;
-  const int reps = args.quick ? 5 : 9;
+  const int pairs = args.quick ? 5 : 9;
   const std::string key = kv::encode_key(1, 16);
   const std::string value = kv::make_value(99, 100);
 
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    for (int it = 0; it < iters; ++it) {
-      LegacyLeaf node = legacy_parse(fx.image, fx.count);
-      Rng rng(args.seed + static_cast<uint64_t>(it));
-      for (int i = 0; i < 64; ++i) {
-        const size_t pos = rng.uniform(node.keys.size() + 1);
-        node.keys.insert(node.keys.begin() + static_cast<long>(pos), key);
-        node.values.insert(node.values.begin() + static_cast<long>(pos),
-                           value);
-      }
-      g_sink += node.keys.size();
-    }
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    for (int it = 0; it < iters; ++it) {
-      node::SlottedPage page = slotted_from_fixture(fx);
-      Rng rng(args.seed + static_cast<uint64_t>(it));
-      for (int i = 0; i < 64; ++i) {
-        const size_t pos = rng.uniform(page.count() + 1);
-        uint8_t* rec = page.insert_alloc(pos, 6 + key.size() + value.size());
-        const uint16_t klen = static_cast<uint16_t>(key.size());
-        const uint32_t vlen = static_cast<uint32_t>(value.size());
-        std::memcpy(rec, &klen, sizeof klen);
-        std::memcpy(rec + 2, &vlen, sizeof vlen);
-        std::memcpy(rec + 6, key.data(), key.size());
-        std::memcpy(rec + 6 + key.size(), value.data(), value.size());
-      }
-      g_sink += page.count();
-    }
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.insert.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.insert.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.insert.speedup_ratio", speedup);
-  std::printf("cpu.insert: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-              legacy_ns, slotted_ns, speedup);
+  const PairedTiming timing = paired_wall_ns(
+      pairs,
+      [&] {
+        for (int it = 0; it < iters; ++it) {
+          LegacyLeaf node = legacy_parse(fx.image, fx.count);
+          Rng rng(args.seed + static_cast<uint64_t>(it));
+          for (int i = 0; i < 64; ++i) {
+            const size_t pos = rng.uniform(node.keys.size() + 1);
+            node.keys.insert(node.keys.begin() + static_cast<long>(pos), key);
+            node.values.insert(node.values.begin() + static_cast<long>(pos),
+                               value);
+          }
+          g_sink += node.keys.size();
+        }
+      },
+      [&] {
+        for (int it = 0; it < iters; ++it) {
+          node::SlottedPage page = slotted_from_fixture(fx);
+          Rng rng(args.seed + static_cast<uint64_t>(it));
+          for (int i = 0; i < 64; ++i) {
+            const size_t pos = rng.uniform(page.count() + 1);
+            uint8_t* rec =
+                page.insert_alloc(pos, 6 + key.size() + value.size());
+            const uint16_t klen = static_cast<uint16_t>(key.size());
+            const uint32_t vlen = static_cast<uint32_t>(value.size());
+            std::memcpy(rec, &klen, sizeof klen);
+            std::memcpy(rec + 2, &vlen, sizeof vlen);
+            std::memcpy(rec + 6, key.data(), key.size());
+            std::memcpy(rec + 6 + key.size(), value.data(), value.size());
+          }
+          g_sink += page.count();
+        }
+      });
+  report_paired("insert", timing, reg);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,33 +392,28 @@ void section_roundtrip(const bench::BenchArgs& args,
   const uint32_t count = 256;
   const LeafFixture fx = make_leaf_fixture(count, 16, 100, args.seed + 2);
   const int iters = args.quick ? 200 : 1000;
-  const int reps = args.quick ? 5 : 9;
+  const int pairs = args.quick ? 5 : 9;
 
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    std::vector<uint8_t> out;
-    for (int it = 0; it < iters; ++it) {
-      const LegacyLeaf node = legacy_parse(fx.image, fx.count);
-      legacy_serialize(node, &out);
-      g_sink += out.size();
-    }
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    std::vector<uint8_t> out;
-    for (int it = 0; it < iters; ++it) {
-      const node::SlottedPage page = slotted_from_fixture(fx);
-      out.clear();
-      page.write_to(&out);
-      g_sink += out.size();
-    }
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.roundtrip.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.roundtrip.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.roundtrip.speedup_ratio", speedup);
-  std::printf(
-      "cpu.roundtrip: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-      legacy_ns, slotted_ns, speedup);
+  const PairedTiming timing = paired_wall_ns(
+      pairs,
+      [&] {
+        std::vector<uint8_t> out;
+        for (int it = 0; it < iters; ++it) {
+          const LegacyLeaf node = legacy_parse(fx.image, fx.count);
+          legacy_serialize(node, &out);
+          g_sink += out.size();
+        }
+      },
+      [&] {
+        std::vector<uint8_t> out;
+        for (int it = 0; it < iters; ++it) {
+          const node::SlottedPage page = slotted_from_fixture(fx);
+          out.clear();
+          page.write_to(&out);
+          g_sink += out.size();
+        }
+      });
+  report_paired("roundtrip", timing, reg);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,13 +533,16 @@ int main(int argc, char** argv) {
   const double search_speedup = reg.gauge("cpu.search.speedup_ratio");
   if (search_speedup < 1.5) {
     std::fprintf(stderr,
-                 "FAIL: interior-node search speedup %.2fx < 1.5x gate\n",
+                 "FAIL: interior-node search speedup %.2fx (median of "
+                 "interleaved pairs) < 1.5x gate\n",
                  search_speedup);
     return 1;
   }
   const double roundtrip_speedup = reg.gauge("cpu.roundtrip.speedup_ratio");
   if (roundtrip_speedup < 1.2) {
-    std::fprintf(stderr, "FAIL: roundtrip speedup %.2fx < 1.2x gate\n",
+    std::fprintf(stderr,
+                 "FAIL: roundtrip speedup %.2fx (median of interleaved "
+                 "pairs) < 1.2x gate\n",
                  roundtrip_speedup);
     return 1;
   }

@@ -7,14 +7,15 @@
 // queue depth, re-fits the affine model, and shows how the Corollary-7
 // optimal B-tree node size moves — closing the loop from the paper's
 // ref [3] (disk scheduling) to its §5 (node sizing).
+#include <algorithm>
 #include <vector>
 
 #include "bench_common.h"
 #include "harness/fitting.h"
 #include "harness/report.h"
 #include "model/tree_costs.h"
+#include "sim/hdd.h"
 #include "sim/profiles.h"
-#include "sim/scheduler.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -22,16 +23,34 @@ namespace {
 
 using namespace damkit;
 
-std::vector<sim::TimedRequest> random_reads(uint64_t n, uint64_t io_bytes,
-                                            uint64_t seed, uint64_t capacity) {
+std::vector<sim::IoRequest> random_reads(uint64_t n, uint64_t io_bytes,
+                                         uint64_t seed, uint64_t capacity) {
   Rng rng(seed);
-  std::vector<sim::TimedRequest> reqs;
+  std::vector<sim::IoRequest> reqs;
   reqs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t off = rng.uniform(capacity / io_bytes - 1) * io_bytes;
-    reqs.push_back({{sim::IoKind::kRead, off, io_bytes}, 0});
+    reqs.push_back({sim::IoKind::kRead, off, io_bytes});
   }
   return reqs;
+}
+
+/// Mean seconds per IO when the whole trace is queued at t = 0 on a disk
+/// whose NCQ window (`policy` over `depth` pending requests) orders it:
+/// the makespan (latest finish) over the IO count.
+double seconds_per_io(sim::HddConfig hdd, sim::SchedPolicy policy,
+                      size_t depth, uint64_t seed, uint64_t n,
+                      uint64_t io_bytes, uint64_t trace_seed) {
+  hdd.batch_policy = policy;
+  hdd.queue_depth = depth;
+  sim::HddDevice dev(hdd, seed);
+  const std::vector<sim::IoRequest> reqs =
+      random_reads(n, io_bytes, trace_seed, dev.capacity_bytes());
+  sim::SimTime makespan = 0;
+  for (const sim::IoCompletion& c : dev.submit_batch(reqs, 0)) {
+    makespan = std::max(makespan, c.finish);
+  }
+  return sim::to_seconds(makespan) / static_cast<double>(n);
 }
 
 }  // namespace
@@ -53,11 +72,9 @@ int main(int argc, char** argv) {
     for (const size_t depth : {size_t{1}, size_t{8}, size_t{32},
                                size_t{128}}) {
       if (policy == sim::SchedPolicy::kFifo && depth != 1) continue;
-      sim::HddDevice dev(hdd, args.seed);
-      const auto r = run_scheduled(
-          dev, {policy, depth},
-          random_reads(n, 4096, args.seed, dev.capacity_bytes()));
-      const double ms = r.mean_seconds_per_io() * 1e3;
+      const double ms =
+          seconds_per_io(hdd, policy, depth, args.seed, n, 4096, args.seed) *
+          1e3;
       if (policy == sim::SchedPolicy::kFifo) fifo_ms = ms;
       t.add_row({sim::sched_policy_name(policy), strfmt("%zu", depth),
                  strfmt("%.2f", ms), strfmt("%.2fx", fifo_ms / ms)});
@@ -74,12 +91,9 @@ int main(int argc, char** argv) {
         std::tuple{"SCAN qd32", sim::SchedPolicy::kScan, size_t{32}}}) {
     std::vector<harness::AffineSample> samples;
     for (uint64_t io = 4 * kKiB; io <= 16 * kMiB; io *= 2) {
-      sim::HddDevice dev(hdd, args.seed);
-      const auto r = run_scheduled(
-          dev, {policy, depth},
-          random_reads(args.quick ? 48 : 128, io, args.seed ^ io,
-                       dev.capacity_bytes()));
-      samples.push_back({io, r.mean_seconds_per_io()});
+      samples.push_back(
+          {io, seconds_per_io(hdd, policy, depth, args.seed,
+                              args.quick ? 48 : 128, io, args.seed ^ io)});
     }
     const harness::AffineFit fit = fit_affine(samples);
     const double alpha_per_byte = fit.t_per_byte / fit.s;

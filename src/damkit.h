@@ -45,7 +45,6 @@
 #include "sim/hdd.h"                   // IWYU pragma: export
 #include "sim/mq_ssd.h"                // IWYU pragma: export
 #include "sim/profiles.h"              // IWYU pragma: export
-#include "sim/scheduler.h"             // IWYU pragma: export
 #include "sim/ssd.h"                   // IWYU pragma: export
 #include "sim/trace.h"                 // IWYU pragma: export
 #include "stats/json.h"                // IWYU pragma: export

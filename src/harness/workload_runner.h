@@ -57,7 +57,7 @@ struct WorkloadRunResult : kv::ApplyCounters {
 };
 
 /// run_concurrent(): run()'s options plus the replay's (client count,
-/// admission depth, replay device, dispatch lanes). Without a replay
+/// admission depth, replay device, accounting lanes). Without a replay
 /// device the concurrent timeline equals the serial one.
 struct ConcurrentRunOptions : WorkloadRunOptions, serve::ReplayConfig {};
 

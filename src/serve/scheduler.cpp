@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <utility>
 
 #include "util/status.h"
 
@@ -25,7 +24,7 @@ ReplayResult replay(const std::vector<OpIoChain>& chains,
                     const ReplayConfig& config) {
   DAMKIT_CHECK_MSG(config.clients >= 1, "need at least one client");
   DAMKIT_CHECK_MSG(config.inflight >= 1, "need inflight depth >= 1");
-  DAMKIT_CHECK_MSG(config.lanes >= 1, "need at least one dispatch lane");
+  DAMKIT_CHECK_MSG(config.lanes >= 1, "need at least one lane");
   ReplayResult result;
   result.lane_ios.assign(config.lanes, 0);
   if (!config.replay_device_factory || chains.empty()) return result;
@@ -65,8 +64,7 @@ ReplayResult replay(const std::vector<OpIoChain>& chains,
 
   for (uint64_t c = 0; c < k; ++c) admit(c, /*t=*/0);
 
-  std::vector<std::vector<std::pair<sim::IoRequest, size_t>>> lane_queues(
-      config.lanes);
+  std::vector<uint64_t> lane_depth(config.lanes);
   while (completed < n) {
     active.erase(std::remove_if(active.begin(), active.end(),
                                 [&](size_t id) { return state[id].done; }),
@@ -93,14 +91,16 @@ ReplayResult replay(const std::vector<OpIoChain>& chains,
     }
     if (completed_any) continue;
 
-    // Cross-client batch formation through the per-lane dispatch queues:
-    // every runnable stage's IOs are bucketed by lane, then the lanes are
-    // drained round-robin into one submission-queue batch.
+    // One cross-client batch: every runnable stage's IOs in runnable
+    // order. The device picks the dispatch order (sim/device.h); lanes
+    // only count how the batch spreads.
     std::vector<size_t> runnable;
     for (const size_t id : active) {
       if (state[id].ready == t) runnable.push_back(id);
     }
-    for (auto& q : lane_queues) q.clear();
+    std::vector<sim::IoRequest> reqs;
+    std::vector<size_t> owner;
+    std::fill(lane_depth.begin(), lane_depth.end(), 0);
     for (const size_t id : runnable) {
       const IoStage& stage = chains[id].stages[state[id].next_stage];
       for (sim::IoRequest req : stage.ios) {
@@ -108,28 +108,14 @@ ReplayResult replay(const std::vector<OpIoChain>& chains,
         // the request, so a multi-queue device lands each client on its
         // own SQ/CQ pair instead of one shared SQ.
         req.queue = static_cast<uint32_t>(id % k);
+        reqs.push_back(req);
+        owner.push_back(id);
         const size_t lane =
             config.lane_of ? config.lane_of(req.offset) % config.lanes : 0;
-        lane_queues[lane].emplace_back(req, id);
         ++result.lane_ios[lane];
+        result.max_lane_depth =
+            std::max(result.max_lane_depth, ++lane_depth[lane]);
       }
-    }
-    std::vector<sim::IoRequest> reqs;
-    std::vector<size_t> owner;
-    for (const auto& q : lane_queues) {
-      result.max_lane_depth =
-          std::max<uint64_t>(result.max_lane_depth, q.size());
-    }
-    for (size_t depth = 0;; ++depth) {
-      bool any = false;
-      for (const auto& q : lane_queues) {
-        if (depth < q.size()) {
-          reqs.push_back(q[depth].first);
-          owner.push_back(q[depth].second);
-          any = true;
-        }
-      }
-      if (!any) break;
     }
 
     const std::vector<sim::IoCompletion> cs = dev->submit_batch(reqs, t);

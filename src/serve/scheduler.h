@@ -18,9 +18,10 @@
 //   recorded chains on a fresh device with the same timing model: each
 //   client keeps up to `inflight` of its ops open (admission control),
 //   every runnable stage across all clients at the current virtual
-//   instant is routed through per-lane dispatch queues (lane = die or
-//   shard) and issued as one cross-client Device::submit_batch, and op
-//   completions admit their client's next op. The result is the
+//   instant is issued, in runnable order, as one cross-client
+//   Device::submit_batch whose dispatch order the device decides (the
+//   SSD's per-die round-robin, the HDD's NCQ window), and op completions
+//   admit their client's next op. The result is the
 //   concurrent makespan and the per-op latency distribution — the
 //   quantities the PDAM predicts scale as Ω(k / log_{PB/k} N) until k
 //   reaches the device parallelism P.
@@ -49,8 +50,9 @@ struct ReplayConfig {
   /// nothing is replayed and the result stays empty.
   std::function<std::unique_ptr<sim::Device>()> replay_device_factory;
 
-  /// Dispatch-lane map for replay: byte offset -> lane in [0, lanes).
-  /// Lane = SSD die (SsdConfig::die_of) or shard (offset / stride).
+  /// Accounting-lane map for replay: byte offset -> lane in [0, lanes),
+  /// typically the SSD die (SsdConfig::die_of). Lanes only count IOs
+  /// (lane_ios, max_lane_depth); they do not order dispatch.
   /// Default: a single lane.
   std::function<size_t(uint64_t)> lane_of;
   size_t lanes = 1;
@@ -67,7 +69,7 @@ struct ReplayResult {
   uint64_t batch_ios = 0;
   /// IOs dispatched per lane (length = config lanes).
   std::vector<uint64_t> lane_ios;
-  /// High-water mark of any single lane's queue depth within a batch.
+  /// High-water mark of any single lane's IO count within a batch.
   uint64_t max_lane_depth = 0;
 };
 

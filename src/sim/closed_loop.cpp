@@ -3,23 +3,18 @@
 #include <algorithm>
 #include <queue>
 
+#include "util/rng.h"
+
 namespace damkit::sim {
 
 ClosedLoopResult run_closed_loop(Device& dev, const ClosedLoopConfig& config) {
-  const uint64_t span = dev.capacity_bytes() - config.io_bytes;
-  const uint64_t align = config.align_to_io_size ? config.io_bytes : 1;
-  const uint64_t slots = span / align + 1;
-  return run_closed_loop(dev, config, [&](int /*client*/, Rng& rng) {
-    return rng.uniform(slots) * align;
-  });
-}
-
-ClosedLoopResult run_closed_loop(
-    Device& dev, const ClosedLoopConfig& config,
-    const std::function<uint64_t(int client, Rng& rng)>& next_offset) {
   DAMKIT_CHECK(config.clients > 0);
   DAMKIT_CHECK(config.io_bytes > 0);
   DAMKIT_CHECK(config.io_bytes <= dev.capacity_bytes());
+  // Uniform offsets over [0, capacity - io_bytes], aligned when asked.
+  const uint64_t span = dev.capacity_bytes() - config.io_bytes;
+  const uint64_t align = config.align_to_io_size ? config.io_bytes : 1;
+  const uint64_t slots = span / align + 1;
 
   struct Pending {
     SimTime issue_at;
@@ -45,9 +40,7 @@ ClosedLoopResult run_closed_loop(
     if (left == 0) continue;
     --left;
 
-    const uint64_t offset = next_offset(p.client, rng);
-    DAMKIT_CHECK_MSG(offset + config.io_bytes <= dev.capacity_bytes(),
-                     "offset generator out of range");
+    const uint64_t offset = rng.uniform(slots) * align;
     // Each client owns its queue-pair tag: multi-queue devices route the
     // IO onto the client's SQ/CQ pair, single-queue devices ignore it.
     const IoCompletion c =

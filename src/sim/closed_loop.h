@@ -9,12 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/device.h"
 #include "util/histogram.h"
-#include "util/rng.h"
 
 namespace damkit::sim {
 
@@ -42,13 +40,10 @@ struct ClosedLoopResult {
 };
 
 /// Runs the closed loop with uniformly random (optionally aligned) offsets
-/// over the device's full LBA range, exactly as §4 describes.
+/// over the device's full LBA range, exactly as §4 describes. Each offset
+/// is drawn at issue time, in (time, client) order, and IOs due at the
+/// same instant are submitted one by one in client order (the
+/// independent-threads contract of sim/device.h).
 ClosedLoopResult run_closed_loop(Device& dev, const ClosedLoopConfig& config);
-
-/// Generalized form: `next_offset(client, rng)` supplies each IO's offset,
-/// enabling sequential or skewed access patterns.
-ClosedLoopResult run_closed_loop(
-    Device& dev, const ClosedLoopConfig& config,
-    const std::function<uint64_t(int client, Rng& rng)>& next_offset);
 
 }  // namespace damkit::sim

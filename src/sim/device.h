@@ -39,16 +39,6 @@ inline SimTime from_seconds(double s) {
 
 enum class IoKind : uint8_t { kRead, kWrite };
 
-/// How a device may reorder requests it holds concurrently (an NCQ window
-/// or a submission-queue batch). Lives here rather than scheduler.h so
-/// device configs can carry a policy without a circular include.
-///   kFifo — submission order (queue depth irrelevant).
-///   kSstf — shortest seek time first within the window.
-///   kScan — elevator: sweep the window in one direction, reverse at ends.
-enum class SchedPolicy : uint8_t { kFifo, kSstf, kScan };
-
-const char* sched_policy_name(SchedPolicy p);
-
 /// A single device IO: a contiguous byte range. `queue` names the NVMe
 /// submission/completion queue pair carrying the request; devices without
 /// per-client queues (HDD, plain SSD) ignore it, `MqSsdDevice` routes on
@@ -113,6 +103,17 @@ struct DeviceStats {
 /// `submit` aborts on violation — a reordered caller would otherwise
 /// corrupt timing silently). Devices may queue: `IoCompletion.start` can
 /// exceed `now`.
+///
+/// Co-instant IOs. The two drivers model concurrency differently, and a
+/// reordering device may time the same IOs differently under each:
+///   - sim::run_closed_loop models independent threads: IOs due at one
+///     instant go to submit() one by one, in client order.
+///   - serve::replay models one shared submission queue per instant: all
+///     runnable IOs go to one submit_batch() in runnable order.
+/// The dispatch order within a batch belongs to the device alone, written
+/// once per model in submit_batch_io: the HDD's NCQ window
+/// (HddConfig::batch_policy over HddConfig::queue_depth), the SSD's
+/// per-die round-robin (which keeps each die's requests in batch order).
 class Device {
  public:
   explicit Device(uint64_t capacity_bytes)

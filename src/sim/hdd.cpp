@@ -7,12 +7,22 @@
 
 namespace damkit::sim {
 
+const char* sched_policy_name(SchedPolicy p) {
+  switch (p) {
+    case SchedPolicy::kFifo: return "FIFO";
+    case SchedPolicy::kSstf: return "SSTF";
+    case SchedPolicy::kScan: return "SCAN";
+  }
+  return "?";
+}
+
 HddDevice::HddDevice(HddConfig config, uint64_t rng_seed)
     : Device(config.capacity_bytes), config_(std::move(config)) {
   DAMKIT_CHECK(config_.track_bytes > 0);
   DAMKIT_CHECK(config_.capacity_bytes >= config_.track_bytes);
   DAMKIT_CHECK(config_.full_stroke_s >= config_.track_to_track_s);
   DAMKIT_CHECK(config_.zone_ratio >= 1.0);
+  DAMKIT_CHECK_MSG(config_.queue_depth >= 1, "HDD NCQ window must be >= 1");
   num_tracks_ = config_.capacity_bytes / config_.track_bytes;
   Rng rng(rng_seed);
   head_track_ = rng.uniform(num_tracks_);
@@ -120,12 +130,17 @@ void HddDevice::export_metrics(stats::MetricsRegistry& reg,
 std::vector<IoCompletion> HddDevice::submit_batch_io(
     std::span<const IoRequest> reqs, SimTime now) {
   std::vector<IoCompletion> out(reqs.size());
-  std::vector<size_t> pending(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) pending[i] = i;
+  std::vector<size_t> pending;  // the NCQ window, in submission order
+  pending.reserve(std::min(reqs.size(), config_.queue_depth));
+  size_t next = 0;
 
-  // Greedy service order from the live arm position, mirroring the NCQ
-  // policies of scheduler.h at batch granularity.
-  while (!pending.empty()) {
+  // Greedy service order from the live arm position; after each service
+  // the window refills from the batch in submission order.
+  while (true) {
+    while (next < reqs.size() && pending.size() < config_.queue_depth) {
+      pending.push_back(next++);
+    }
+    if (pending.empty()) break;
     size_t pick = 0;
     if (config_.batch_policy != SchedPolicy::kFifo) {
       const uint64_t head = head_track_;

@@ -9,11 +9,23 @@
 // regression; the fit quality (R² ≈ 0.999) is the experimental result.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <string>
 
 #include "sim/device.h"
 
 namespace damkit::sim {
+
+/// How the drive picks the next request from its NCQ window. The affine
+/// setup cost `s` a workload pays depends on this order (the paper's
+/// ref [3], Andrews–Bender–Zhang): serving the nearest request shrinks it.
+///   kFifo — submission order (queue depth irrelevant).
+///   kSstf — shortest seek time first within the window.
+///   kScan — elevator: sweep the window in one direction, reverse at ends.
+enum class SchedPolicy : uint8_t { kFifo, kSstf, kScan };
+
+const char* sched_policy_name(SchedPolicy p);
 
 /// Physical parameterization of a simulated disk.
 struct HddConfig {
@@ -37,11 +49,15 @@ struct HddConfig {
   // Fixed per-IO controller/command overhead.
   double command_overhead_s = 50e-6;
 
-  /// How the drive orders the requests of one submit_batch (NCQ). The
-  /// actuator still serves them one at a time; reordering only shrinks the
-  /// aggregate seek distance. kFifo preserves exact serial-equivalent
-  /// timing for batches in submission order.
+  /// How the drive orders the requests of one submit_batch: the pick rule
+  /// over its NCQ window. The actuator still serves them one at a time;
+  /// reordering only shrinks the aggregate seek distance. kFifo preserves
+  /// exact serial-equivalent timing for batches in submission order.
   SchedPolicy batch_policy = SchedPolicy::kSstf;
+  /// NCQ window: requests of one submit_batch the drive may choose among
+  /// (>= 1; 1 = no reordering). The window refills from the batch in
+  /// submission order after each service. Default: the whole batch.
+  size_t queue_depth = std::numeric_limits<size_t>::max();
 
   /// Rotation period in seconds.
   double rotation_period_s() const { return 60.0 / rpm; }
@@ -73,8 +89,6 @@ class HddDevice final : public Device {
   /// Track index containing byte `offset`. Exposed for tests.
   uint64_t track_of(uint64_t offset) const { return offset / config_.track_bytes; }
   uint64_t num_tracks() const { return num_tracks_; }
-  /// Arm position after the last completed IO (schedulers peek at this).
-  uint64_t head_track() const { return head_track_; }
 
   /// Media bandwidth (bytes/s) at a given track (zoned).
   double bandwidth_at(uint64_t track) const;
@@ -90,9 +104,9 @@ class HddDevice final : public Device {
 
  protected:
   IoCompletion submit_io(const IoRequest& req, SimTime now) override;
-  /// Serves the batch one request at a time (single actuator) but in the
-  /// order config().batch_policy picks from the current arm position —
-  /// the NCQ window reordering of scheduler.h applied to one batch.
+  /// Serves the batch one request at a time (single actuator) in the order
+  /// config().batch_policy picks from the current arm position, among at
+  /// most config().queue_depth pending requests — the drive's NCQ window.
   /// Completions are returned in submission order.
   std::vector<IoCompletion> submit_batch_io(std::span<const IoRequest> reqs,
                                             SimTime now) override;

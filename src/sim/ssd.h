@@ -82,8 +82,8 @@ struct SsdConfig {
   }
 
   /// Which die serves byte `offset` (the FTL stripe mapping). Lives on
-  /// the config so schedulers can build per-die dispatch lanes without a
-  /// device instance.
+  /// the config so callers can map offsets to dies (e.g. replay's
+  /// per-die IO counts) without a device instance.
   int die_of(uint64_t offset) const {
     const uint64_t stripe = offset / stripe_bytes;
     if (!hashed_striping) {
@@ -159,8 +159,10 @@ class SsdDevice : public Device {
   /// so a batch of ≤ total_dies() single-stripe reads on distinct dies
   /// completes in one page-service "step" — exactly the PDAM's `P` IOs of
   /// size `B` per time step — and multi-stripe requests cannot starve
-  /// their bucket's round-robin share. Completions are returned in
-  /// submission order.
+  /// their bucket's round-robin share. Each bucket keeps batch order, so
+  /// any reordering of a batch that keeps every die's requests in order
+  /// is timed identically (serve::replay relies on this). Completions are
+  /// returned in submission order.
   std::vector<IoCompletion> submit_batch_io(std::span<const IoRequest> reqs,
                                             SimTime now) override;
 

@@ -1,14 +1,20 @@
 // Tests for the batched submission path (Device::submit_batch and
 // IoContext::submit_batch_checked): a batch of one must be bit-identical to the
-// serial path, an SSD batch must exploit die parallelism per the PDAM,
-// and the nondecreasing-clock contract must abort loudly when violated.
+// serial path, an SSD batch must exploit die parallelism per the PDAM, the
+// HDD's NCQ window must reorder as its policy and depth say, an SSD batch
+// must time the same under any reordering that keeps each die's order, and
+// the nondecreasing-clock contract must abort loudly when violated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/device.h"
 #include "sim/hdd.h"
+#include "sim/mq_ssd.h"
+#include "sim/profiles.h"
 #include "sim/ssd.h"
+#include "sim/trace.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -227,6 +233,225 @@ TEST(BatchIoTest, BatchAdvancesClockToMaxNotSum) {
   }
   EXPECT_EQ(io.now(), max_finish);
   EXPECT_LT(io.now(), sum);  // strictly better than serial accumulation
+}
+
+// ---------------------------------------------------------------------------
+// Disk scheduling (SchedulerTest): one batch of random reads queued at
+// t = 0 on a disk whose NCQ window is `policy` over `depth` requests.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kDiskBytes = 32ULL * kGiB;
+
+HddConfig ncq_config(SchedPolicy policy, size_t depth) {
+  HddConfig cfg;
+  cfg.capacity_bytes = kDiskBytes;
+  cfg.batch_policy = policy;
+  cfg.queue_depth = depth;
+  return cfg;
+}
+
+std::vector<IoRequest> random_reads(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<IoRequest> reqs;
+  reqs.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const uint64_t off = rng.uniform(kDiskBytes / 4096 - 1) * 4096;
+    reqs.push_back({IoKind::kRead, off, 4096});
+  }
+  return reqs;
+}
+
+/// Latest finish of `reqs` submitted as one batch at t = 0.
+SimTime ncq_makespan(SchedPolicy policy, size_t depth,
+                     const std::vector<IoRequest>& reqs,
+                     IoTrace* trace = nullptr) {
+  HddDevice dev(ncq_config(policy, depth), 1);
+  dev.set_trace(trace);
+  SimTime makespan = 0;
+  for (const IoCompletion& c : dev.submit_batch(reqs, 0)) {
+    makespan = std::max(makespan, c.finish);
+  }
+  return makespan;
+}
+
+/// Times the arm changes sweep direction over a trace's service order.
+uint64_t direction_reversals(const IoTrace& trace, uint64_t track_bytes) {
+  uint64_t reversals = 0;
+  int direction = 0;  // +1 toward higher tracks, -1 lower, 0 not yet moved
+  const auto& recs = trace.records();
+  for (size_t i = 1; i < recs.size(); ++i) {
+    const uint64_t from = recs[i - 1].offset / track_bytes;
+    const uint64_t to = recs[i].offset / track_bytes;
+    if (from == to) continue;
+    const int d = to > from ? 1 : -1;
+    if (direction != 0 && d != direction) ++reversals;
+    direction = d;
+  }
+  return reversals;
+}
+
+TEST(SchedulerTest, CompletesEverything) {
+  HddDevice dev(ncq_config(SchedPolicy::kFifo, 1), 1);
+  const auto reqs = random_reads(200, 3);
+  const std::vector<IoCompletion> cs = dev.submit_batch(reqs, 0);
+  ASSERT_EQ(cs.size(), 200u);
+  for (const IoCompletion& c : cs) EXPECT_GT(c.finish, c.start);
+  EXPECT_EQ(dev.stats().reads, 200u);
+  EXPECT_EQ(dev.latency_histogram().count(), 200u);
+}
+
+TEST(SchedulerTest, FifoIgnoresQueueDepth) {
+  const auto reqs = random_reads(300, 5);
+  EXPECT_EQ(ncq_makespan(SchedPolicy::kFifo, 1, reqs),
+            ncq_makespan(SchedPolicy::kFifo, 32, reqs));
+}
+
+TEST(SchedulerTest, SstfBeatsFifoWithDepth) {
+  const auto reqs = random_reads(400, 7);
+  const SimTime fifo = ncq_makespan(SchedPolicy::kFifo, 1, reqs);
+  const SimTime sstf = ncq_makespan(SchedPolicy::kSstf, 32, reqs);
+  EXPECT_LT(sstf, fifo * 7 / 10);  // > 30% faster at depth 32
+}
+
+TEST(SchedulerTest, ScanBeatsFifoWithDepth) {
+  const auto reqs = random_reads(400, 9);
+  const uint64_t track_bytes = HddConfig{}.track_bytes;
+  IoTrace fifo_trace;
+  IoTrace scan_trace;
+  const SimTime fifo = ncq_makespan(SchedPolicy::kFifo, 1, reqs, &fifo_trace);
+  const SimTime scan = ncq_makespan(SchedPolicy::kScan, 32, reqs, &scan_trace);
+  EXPECT_LT(scan, fifo * 7 / 10);
+  // The elevator sweeps: it reverses, but far less often than the
+  // submission order's random walk does.
+  const uint64_t scan_reversals =
+      direction_reversals(scan_trace, track_bytes);
+  EXPECT_GT(scan_reversals, 0u);
+  EXPECT_LT(scan_reversals, direction_reversals(fifo_trace, track_bytes));
+}
+
+TEST(SchedulerTest, DeeperQueuesHelpMore) {
+  const auto reqs = random_reads(400, 11);
+  const SimTime serial = ncq_makespan(SchedPolicy::kSstf, 1, reqs);
+  SimTime prev = serial;
+  for (size_t depth : {4u, 16u, 64u}) {
+    const SimTime t = ncq_makespan(SchedPolicy::kSstf, depth, reqs);
+    EXPECT_LE(t, prev + prev / 50);  // monotone within 2% noise
+    prev = t;
+  }
+  EXPECT_LT(prev, serial * 7 / 10);  // the window, not the batch, is the limit
+}
+
+TEST(SchedulerTest, DepthOneMatchesFifoRegardlessOfPolicy) {
+  const auto reqs = random_reads(150, 13);
+  const SimTime fifo = ncq_makespan(SchedPolicy::kFifo, 1, reqs);
+  EXPECT_EQ(ncq_makespan(SchedPolicy::kSstf, 1, reqs), fifo);
+  EXPECT_EQ(ncq_makespan(SchedPolicy::kScan, 1, reqs), fifo);
+}
+
+TEST(SchedulerTest, EmptyInput) {
+  HddDevice dev(ncq_config(SchedPolicy::kScan, 8), 1);
+  EXPECT_TRUE(dev.submit_batch({}, 0).empty());
+  EXPECT_EQ(dev.stats().reads, 0u);
+  EXPECT_EQ(dev.stats().busy_time, 0u);
+}
+
+TEST(SchedulerTest, PolicyNames) {
+  EXPECT_STREQ(sched_policy_name(SchedPolicy::kFifo), "FIFO");
+  EXPECT_STREQ(sched_policy_name(SchedPolicy::kSstf), "SSTF");
+  EXPECT_STREQ(sched_policy_name(SchedPolicy::kScan), "SCAN");
+}
+
+TEST(SchedulerDeathTest, ZeroDepthRejected) {
+  EXPECT_DEATH(HddDevice(ncq_config(SchedPolicy::kFifo, 0), 1), "");
+}
+
+// ---------------------------------------------------------------------------
+// Die-order invariance: the SSD's batch dispatch buckets requests by die
+// and keeps each bucket in batch order, so any reordering of a batch that
+// keeps every die's requests in their original order is timed the same.
+// serve::replay relies on this to hand the device its batch unsorted.
+// ---------------------------------------------------------------------------
+
+/// A seeded batch of reads and writes, some spanning several stripes,
+/// spread over the client queue pairs.
+std::vector<IoRequest> mixed_batch(const SsdConfig& cfg, Rng& rng) {
+  std::vector<IoRequest> reqs;
+  const size_t n = 1 + rng.uniform(40);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t pages = 1 + rng.uniform(48);  // up to 3 stripes of 64 KiB
+    const uint64_t len = pages * cfg.page_bytes;
+    const uint64_t off =
+        rng.uniform((cfg.capacity_bytes - len) / cfg.page_bytes) *
+        cfg.page_bytes;
+    reqs.push_back({rng.uniform(4) == 0 ? IoKind::kWrite : IoKind::kRead, off,
+                    len, static_cast<uint32_t>(rng.uniform(4))});
+  }
+  return reqs;
+}
+
+/// A random interleaving of `reqs` that keeps each die's requests in
+/// their original relative order: order[j] is the original index of the
+/// j-th request of the reordered batch.
+std::vector<size_t> die_order_preserving_shuffle(
+    const SsdConfig& cfg, const std::vector<IoRequest>& reqs, Rng& rng) {
+  std::vector<std::vector<size_t>> by_die(
+      static_cast<size_t>(cfg.total_dies()));
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    by_die[static_cast<size_t>(cfg.die_of(reqs[i].offset))].push_back(i);
+  }
+  std::vector<size_t> head(by_die.size(), 0);
+  std::vector<size_t> order;
+  while (order.size() < reqs.size()) {
+    const size_t die = rng.uniform(by_die.size());
+    if (head[die] < by_die[die].size()) {
+      order.push_back(by_die[die][head[die]++]);
+    }
+  }
+  return order;
+}
+
+template <typename Dev>
+void expect_die_order_invariance(const SsdConfig& cfg) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Dev original(cfg);
+    Dev reordered(cfg);
+    SimTime now = 0;
+    // Several batches per device, so queue, link and GC state carries.
+    for (int batch = 0; batch < 4; ++batch) {
+      const std::vector<IoRequest> reqs = mixed_batch(cfg, rng);
+      const std::vector<size_t> order =
+          die_order_preserving_shuffle(cfg, reqs, rng);
+      std::vector<IoRequest> shuffled;
+      for (const size_t i : order) shuffled.push_back(reqs[i]);
+      const std::vector<IoCompletion> a = original.submit_batch(reqs, now);
+      const std::vector<IoCompletion> b =
+          reordered.submit_batch(shuffled, now);
+      ASSERT_EQ(a.size(), reqs.size());
+      ASSERT_EQ(b.size(), reqs.size());
+      SimTime done = now;
+      for (size_t j = 0; j < order.size(); ++j) {
+        EXPECT_EQ(b[j].start, a[order[j]].start) << "request " << order[j];
+        EXPECT_EQ(b[j].finish, a[order[j]].finish) << "request " << order[j];
+        done = std::max(done, a[order[j]].finish);
+      }
+      now = now + (done - now) / 2;  // next batch overlaps this one's tail
+    }
+  }
+}
+
+TEST(BatchIoTest, SsdBatchTimingIgnoresCrossDieOrder) {
+  SsdConfig cfg = ssd_config(2, 4);
+  cfg.link_bps = 2e9;  // a shared link makes dispatch order observable
+  expect_die_order_invariance<SsdDevice>(cfg);
+}
+
+TEST(BatchIoTest, MqSsdBatchTimingIgnoresCrossDieOrder) {
+  SsdConfig cfg = testbed_mq_profile();
+  cfg.gc_interval_s = 3e-3;  // GC bursts steal die time mid-batch
+  cfg.gc_burst_s = 1e-3;
+  expect_die_order_invariance<MqSsdDevice>(cfg);
 }
 
 TEST(BatchIoDeathTest, ClockMustNotRunBackwards) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/hdd.h"
 #include "sim/ssd.h"
 #include "util/bytes.h"
 
@@ -72,26 +71,6 @@ TEST(ClosedLoopTest, BeyondParallelismScalesLinearly) {
   SsdDevice d32(ssd_config(2, 2));
   const double t32 = to_seconds(run_closed_loop(d32, cl).makespan);
   EXPECT_NEAR(t32 / t16, 2.0, 0.3);
-}
-
-TEST(ClosedLoopTest, CustomOffsetGeneratorSequential) {
-  HddConfig hdd;
-  hdd.capacity_bytes = 8ULL * kGiB;
-  HddDevice dev(hdd, 3);
-  ClosedLoopConfig cl;
-  cl.clients = 1;
-  cl.ios_per_client = 64;
-  cl.io_bytes = kMiB;
-  uint64_t next = 0;
-  const ClosedLoopResult seq =
-      run_closed_loop(dev, cl, [&next, &cl](int, Rng&) {
-        const uint64_t off = next;
-        next += cl.io_bytes;
-        return off;
-      });
-  HddDevice dev2(hdd, 3);
-  const ClosedLoopResult rnd = run_closed_loop(dev2, cl);
-  EXPECT_LT(seq.makespan, rnd.makespan);  // sequential avoids seeks
 }
 
 TEST(ClosedLoopTest, ThroughputConsistentWithMakespan) {
