@@ -117,6 +117,10 @@ int main(int argc, char** argv) {
   w.seed = args.seed;
   const uint64_t cache =
       std::max<uint64_t>(w.items * (16 + w.value_bytes) / 4, 4 * kMiB);
+  // A descent pins a parent while it loads a child, so a pool must hold
+  // two nodes whatever the data size. Only big-node contenders reach this
+  // floor; the smallest one keeps their pool nearest the others' budget.
+  constexpr uint64_t kMinPoolNodes = 2;
 
   Table t({"structure", "load (ms/op)", "insert (ms/op)", "query (ms/op)",
            "scan MB/s", "insert write amp"});
@@ -136,11 +140,12 @@ int main(int argc, char** argv) {
   for (const Contender& c : contenders) {
     sim::HddDevice dev(sim::testbed_hdd_profile(), w.seed);
     sim::IoContext io(dev);
+    const uint64_t pool = std::max(cache, kMinPoolNodes * c.node_bytes);
     kv::EngineConfig cfg;
     cfg.btree.node_bytes = c.node_bytes;
-    cfg.btree.cache_bytes = cache;
+    cfg.btree.cache_bytes = pool;
     cfg.betree.node_bytes = c.node_bytes;
-    cfg.betree.cache_bytes = cache;
+    cfg.betree.cache_bytes = pool;
     cfg.lsm.memtable_bytes = 4 * kMiB;
     cfg.lsm.sstable_target_bytes = c.node_bytes;
     cfg.lsm.level1_bytes = 40 * kMiB;

@@ -294,28 +294,24 @@ Status BeTree::collapse_root() {
 StatusOr<std::optional<std::string>> BeTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
-  std::vector<std::vector<Message>> collected;  // root-first
-  uint64_t id = root_;
-  StatusOr<NodeRef> node = try_fetch(id);
+  // Root first is newest first: fold the key's pending messages on the way
+  // down until a put or tombstone settles it. The descent itself (and so
+  // every node fetch) is the same either way.
+  KeyFold fold;
+  StatusOr<NodeRef> node = try_fetch(root_);
   DAMKIT_RETURN_IF_ERROR(node.status());
   while (!(*node)->is_leaf()) {
     const size_t idx = (*node)->child_index(key);
-    std::vector<Message> msgs;
-    (*node)->collect_for_key(idx, key, &msgs);
-    collected.push_back(std::move(msgs));
-    id = (*node)->child(idx);
-    node = try_fetch(id);
+    if (!fold.settled) (*node)->fold_for_key(idx, key, &fold);
+    node = try_fetch((*node)->child(idx));
     DAMKIT_RETURN_IF_ERROR(node.status());
   }
-  std::optional<std::string> state;
-  const size_t i = (*node)->lower_bound(key);
-  if ((*node)->key_equals(i, key)) state = (*node)->value(i);
-  // Deeper buffers are older: apply leaf-adjacent levels first, each level
-  // in arrival order.
-  for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
-    for (const Message& m : *level) state = apply_message(std::move(state), m);
+  std::optional<std::string> leaf_state;
+  if (!fold.settled) {
+    const size_t i = (*node)->lower_bound(key);
+    if ((*node)->key_equals(i, key)) leaf_state = (*node)->value(i);
   }
-  return state;
+  return std::move(fold).finish(std::move(leaf_state));
 }
 
 namespace {

@@ -4,8 +4,9 @@
 // Inserts/deletes/upserts become messages appended to the root's buffer;
 // when a node's serialized size exceeds the node size, the buffer of the
 // fullest child is flushed down one level (recursing as children
-// overflow). Queries collect pending messages for the key on the
-// root-to-leaf path and apply them to the leaf state. Node size B and
+// overflow). Queries fold the key's pending messages on the root-to-leaf
+// path newest first (KeyFold) until a put or tombstone settles the base,
+// falling back to the leaf entry otherwise. Node size B and
 // target fanout F are the tuning knobs of §6: F ≈ B^ε.
 #pragma once
 

@@ -101,6 +101,7 @@ void BeTreeNode::internal_remove_child(size_t pivot_idx) {
   MsgSegment& gone = segments_[victim];
   left.bytes.insert(left.bytes.end(), gone.bytes.begin(), gone.bytes.end());
   left.count += gone.count;
+  left.drop_index();
   pivots_.erase(pivot_idx);
   children_.erase(children_.begin() + static_cast<ptrdiff_t>(victim));
   segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(victim));
@@ -115,6 +116,10 @@ void BeTreeNode::buffer_add(size_t child_idx, const Message& msg) {
   encode_message_record(s.bytes.data() + old, msg.kind, msg.key, msg.payload);
   s.count += 1;
   total_buffer_bytes_ += b;
+  // After any equal keys: the newest message is last in its key's run.
+  if (s.indexed) {
+    s.by_key.insert(s.upper_bound(msg.key), static_cast<uint32_t>(old));
+  }
 }
 
 std::vector<Message> BeTreeNode::buffer_take(size_t child_idx) {
@@ -126,6 +131,7 @@ std::vector<Message> BeTreeNode::buffer_take(size_t child_idx) {
   total_buffer_bytes_ -= s.bytes.size();
   s.bytes.clear();
   s.count = 0;
+  s.drop_index();
   return out;
 }
 
@@ -138,10 +144,38 @@ size_t BeTreeNode::fullest_child() const {
   return best;
 }
 
-void BeTreeNode::collect_for_key(size_t child_idx, std::string_view key,
-                                 std::vector<Message>* out) const {
-  for (const MessageView m : buffer(child_idx)) {
-    if (kv::compare(m.key, key) == 0) out->push_back(m.to_message());
+void BeTreeNode::MsgSegment::build_index() {
+  by_key.clear();
+  by_key.reserve(count);
+  for (size_t off = 0; off < bytes.size();
+       off += message_record_len(bytes.data() + off)) {
+    by_key.push_back(static_cast<uint32_t>(off));
+  }
+  std::stable_sort(by_key.begin(), by_key.end(),
+                   [this](uint32_t a, uint32_t b) {
+                     return kv::compare(key_at(a), key_at(b)) < 0;
+                   });
+  indexed = true;
+}
+
+std::vector<uint32_t>::iterator BeTreeNode::MsgSegment::upper_bound(
+    std::string_view key) {
+  return std::upper_bound(by_key.begin(), by_key.end(), key,
+                          [this](std::string_view k, uint32_t off) {
+                            return kv::compare(k, key_at(off)) < 0;
+                          });
+}
+
+void BeTreeNode::fold_for_key(size_t child_idx, std::string_view key,
+                              KeyFold* fold) {
+  DAMKIT_CHECK(!is_leaf_);
+  MsgSegment& s = segments_[child_idx];
+  if (!s.indexed) s.build_index();
+  // Walk the key's run from its newest message back to its oldest.
+  for (auto it = s.upper_bound(key); it != s.by_key.begin();) {
+    --it;
+    const MessageView m = decode_message_view(s.bytes.data() + *it);
+    if (kv::compare(m.key, key) != 0 || fold->add_older(m)) return;
   }
 }
 

@@ -12,7 +12,9 @@
 // MsgSegment of wire-format message records (arrival order, append-only),
 // so serialize/deserialize move bytes without per-entry allocations and
 // buffer(i) yields MessageView borrows. The wire image and all byte-size
-// accounting are bit-identical to the pre-slotted layout.
+// accounting are bit-identical to the pre-slotted layout. Point queries
+// read a segment through an unserialized per-segment key index
+// (fold_for_key), so they touch only the key's own messages.
 #pragma once
 
 #include <algorithm>
@@ -114,9 +116,10 @@ class BeTreeNode {
   std::vector<Message> buffer_take(size_t child_idx);
   /// Index of the child with the largest pending buffer (bytes).
   size_t fullest_child() const;
-  /// Collect messages for `key` in child i's buffer, in arrival order.
-  void collect_for_key(size_t child_idx, std::string_view key,
-                       std::vector<Message>* out) const;
+  /// Fold child i's pending messages for `key` into `fold`, newest first,
+  /// stopping at the first put or tombstone. Costs O(log segment) plus the
+  /// messages folded: the first call builds the segment's key index.
+  void fold_for_key(size_t child_idx, std::string_view key, KeyFold* fold);
 
   // --- Splitting ---
   struct SplitResult {
@@ -151,9 +154,30 @@ class BeTreeNode {
 
   /// One child's pending messages, packed in wire format (append-only;
   /// the serialized image embeds the bytes verbatim).
+  ///
+  /// `by_key` is an in-memory sidecar for point lookups: the record
+  /// offsets sorted by key, in arrival order among equal keys. It is never
+  /// serialized, so node images are unchanged by it. It is built by the
+  /// first fold_for_key on the segment (not at deserialize, so parse-only
+  /// paths such as scans and flushes never pay for it), kept current by
+  /// buffer_add once built, and dropped when the segment is drained or
+  /// concatenated.
   struct MsgSegment {
     std::vector<uint8_t> bytes;
     uint32_t count = 0;
+    bool indexed = false;
+    std::vector<uint32_t> by_key;
+
+    std::string_view key_at(uint32_t off) const {
+      return decode_message_view(bytes.data() + off).key;
+    }
+    void build_index();
+    /// First index entry whose key is > `key` (needs the index built).
+    std::vector<uint32_t>::iterator upper_bound(std::string_view key);
+    void drop_index() {
+      indexed = false;
+      by_key.clear();
+    }
   };
 
   bool is_leaf_ = true;

@@ -131,4 +131,43 @@ using kv::encode_delta;
 std::optional<std::string> apply_message(std::optional<std::string> base,
                                          const Message& msg);
 
+/// One key's pending messages folded newest to oldest. Upserts only add
+/// (wrapping) deltas, so their sum can be taken before the base is known;
+/// the first put or tombstone met fixes the base, and every older message
+/// (deeper buffers, the leaf entry) is then irrelevant. `finish` yields
+/// exactly what apply_message in arrival order over the same messages
+/// would.
+struct KeyFold {
+  uint64_t delta = 0;     // wrapping sum of the upserts folded so far
+  bool upserted = false;  // some upsert was folded: the result is a counter
+  bool settled = false;   // a put or tombstone was folded
+  std::optional<std::string> base;  // the settling put's value, if any
+
+  /// Fold in the next-older message. Returns `settled`.
+  bool add_older(const MessageView& m) {
+    switch (m.kind) {
+      case MessageKind::kUpsert:
+        delta += decode_counter(m.payload);
+        upserted = true;
+        return false;
+      case MessageKind::kPut:
+        base = std::string(m.payload);
+        break;
+      case MessageKind::kTombstone:
+        break;
+    }
+    settled = true;
+    return true;
+  }
+
+  /// The key's state, given its state beneath every folded message
+  /// (ignored once settled).
+  std::optional<std::string> finish(std::optional<std::string> older) && {
+    std::optional<std::string> state =
+        settled ? std::move(base) : std::move(older);
+    if (!upserted) return state;
+    return encode_counter((state ? decode_counter(*state) : 0) + delta);
+  }
+};
+
 }  // namespace damkit::betree

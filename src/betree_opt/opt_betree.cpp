@@ -9,7 +9,6 @@ namespace damkit::betree_opt {
 
 using betree::BeTreeNode;
 using betree::kInvalidNode;
-using betree::Message;
 
 OptBeTree::OptBeTree(sim::Device& dev, sim::IoContext& io,
                      betree::BeTreeConfig config)
@@ -121,9 +120,11 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
 
-  std::vector<std::vector<Message>> collected;  // root-first
+  // Newest-first fold as in BeTree::try_get. A settled fold skips the
+  // remaining folds and the leaf search, never a charge.
+  betree::KeyFold fold;
+  std::optional<std::string> leaf_state;
   uint64_t id = root_;
-  std::optional<std::string> result_state;
   for (;;) {
     NodeRef node = cache_.get(id);
     const bool newly_loaded = node == nullptr;
@@ -148,8 +149,10 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
         DAMKIT_RETURN_IF_ERROR(
             charge_segment(id, node, chunk, {&part, 1}, newly_loaded));
       }
-      const size_t i = node->lower_bound(key);
-      if (node->key_equals(i, key)) result_state = node->value(i);
+      if (!fold.settled) {
+        const size_t i = node->lower_bound(key);
+        if (node->key_equals(i, key)) leaf_state = node->value(i);
+      }
       break;
     }
 
@@ -167,18 +170,10 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
       DAMKIT_RETURN_IF_ERROR(charge_segment(
           id, node, static_cast<uint32_t>(idx), parts, newly_loaded));
     }
-    std::vector<Message> msgs;
-    node->collect_for_key(idx, key, &msgs);
-    collected.push_back(std::move(msgs));
+    if (!fold.settled) node->fold_for_key(idx, key, &fold);
     id = node->child(idx);
   }
-
-  for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
-    for (const Message& m : *level) {
-      result_state = apply_message(std::move(result_state), m);
-    }
-  }
-  return result_state;
+  return std::move(fold).finish(std::move(leaf_state));
 }
 
 void OptBeTree::export_metrics(stats::MetricsRegistry& reg,

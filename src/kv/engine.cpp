@@ -285,7 +285,11 @@ class PdamEngine final : public Dictionary {
   }
 
   node::SlottedPage merge_entries() const {
+    // Sized up front: grown by doubling, the new run could reach twice
+    // the merged size while the old base is still alive.
     node::SlottedPage merged;
+    merged.reserve(base_.live_bytes() + buffer_bytes_,
+                   base_.count() + buffer_.size());
     std::array<RunCursor, 2> runs = runs_from("");
     DAMKIT_CHECK_OK(
         merge_runs(runs, [&](size_t winner) -> StatusOr<MergeStep> {

@@ -47,6 +47,13 @@ class SlottedPage {
                             s.len);
   }
 
+  /// Pre-size for `bytes` of records in `records` slots, so a page built
+  /// by appends does not grow by doubling.
+  void reserve(size_t bytes, size_t records) {
+    heap_.reserve(bytes);
+    slots_.reserve(records);
+  }
+
   void clear() {
     heap_.clear();
     slots_.clear();

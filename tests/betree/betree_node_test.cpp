@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "kv/slice.h"
 
 namespace damkit::betree {
@@ -73,17 +76,34 @@ TEST(BeTreeNodeTest, FullestChild) {
   EXPECT_EQ(node->fullest_child(), 1u);
 }
 
-TEST(BeTreeNodeTest, CollectForKeyInOrder) {
+TEST(BeTreeNodeTest, FoldForKeyNewestFirst) {
   auto node = BeTreeNode::make_internal();
   node->internal_init(1);
   node->buffer_add(0, put_msg("k", "first"));
   node->buffer_add(0, put_msg("other", "x"));
+  node->buffer_add(0, Message{MessageKind::kUpsert, "k", encode_delta(5)});
+  // Newest first: the upsert is summed, then the put settles the base.
+  KeyFold fold;
+  node->fold_for_key(0, "k", &fold);
+  EXPECT_TRUE(fold.settled);
+  EXPECT_TRUE(fold.upserted);
+  EXPECT_EQ(fold.delta, 5u);
+  EXPECT_EQ(fold.base, "first");
+  EXPECT_EQ(std::move(fold).finish("leaf"), encode_counter(5));
+
+  // Added after the index exists: a newer tombstone settles first.
   node->buffer_add(0, Message{MessageKind::kTombstone, "k", ""});
-  std::vector<Message> out;
-  node->collect_for_key(0, "k", &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].payload, "first");
-  EXPECT_EQ(out[1].kind, MessageKind::kTombstone);
+  KeyFold deleted;
+  node->fold_for_key(0, "k", &deleted);
+  EXPECT_TRUE(deleted.settled);
+  EXPECT_FALSE(deleted.upserted);
+  EXPECT_EQ(std::move(deleted).finish("leaf"), std::nullopt);
+
+  // A key with no put or tombstone pending falls through to the leaf.
+  KeyFold absent;
+  node->fold_for_key(0, "absent", &absent);
+  EXPECT_FALSE(absent.settled);
+  EXPECT_EQ(std::move(absent).finish("leaf"), "leaf");
 }
 
 TEST(BeTreeNodeTest, InternalRemoveChildFoldsBuffer) {
