@@ -95,8 +95,11 @@ Result run(const Workload& w, sim::HddDevice& dev, sim::IoContext& io,
       const uint64_t start = rng.uniform(w.items);
       bytes += scan_bytes(kv::encode_key(start, 16), w.scan_len);
     }
+    // A pool that holds the whole tree scans in zero sim time: report 0,
+    // not a division by zero.
+    const double scan_s = sim::to_seconds(io.now() - t0);
     r.scan_mbps =
-        static_cast<double>(bytes) / sim::to_seconds(io.now() - t0) / 1e6;
+        scan_s > 0.0 ? static_cast<double>(bytes) / scan_s / 1e6 : 0.0;
   }
   return r;
 }

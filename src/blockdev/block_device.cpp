@@ -63,7 +63,8 @@ Status NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
   }
   dec_scratch_.resize(stored_len(node_id));
   dev_->read_bytes(offset, dec_scratch_);
-  if (!codec_->decode(dec_scratch_, out) || out.size() != node_bytes_) {
+  if (!codec_->decode(dec_scratch_, out, node_bytes_) ||
+      out.size() != node_bytes_) {
     return Status::corruption("node " + std::to_string(node_id) +
                               ": stored codec frame failed to decode");
   }
@@ -90,7 +91,8 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
                      return io_->read_checked(
                          offset, std::span<uint8_t>(dec_scratch_));
                    }));
-  if (!codec_->decode(dec_scratch_, out) || out.size() != node_bytes_) {
+  if (!codec_->decode(dec_scratch_, out, node_bytes_) ||
+      out.size() != node_bytes_) {
     return Status::corruption("node " + std::to_string(node_id) +
                               ": stored codec frame failed to decode");
   }

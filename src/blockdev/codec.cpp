@@ -1,5 +1,7 @@
 #include "blockdev/codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -24,9 +26,29 @@ inline uint32_t hash8(const uint8_t* p, int bits) {
   return static_cast<uint32_t>((v * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
 }
 
+// Index of the first differing byte of two words loaded from memory, given
+// their nonzero XOR.
+inline size_t first_diff_byte(uint64_t diff) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<size_t>(std::countr_zero(diff)) / 8;
+  } else {
+    return static_cast<size_t>(std::countl_zero(diff)) / 8;
+  }
+}
+
+// Length of the common prefix of `a` and `b` (b < a), stopping at `end`.
 inline size_t match_length(const uint8_t* a, const uint8_t* b,
                            const uint8_t* end) {
-  const uint8_t* start = a;
+  const uint8_t* const start = a;
+  while (end - a >= 8) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a, 8);
+    std::memcpy(&y, b, 8);
+    if (x != y) return static_cast<size_t>(a - start) + first_diff_byte(x ^ y);
+    a += 8;
+    b += 8;
+  }
   while (a < end && *a == *b) {
     ++a;
     ++b;
@@ -108,10 +130,21 @@ void CodecStats::export_metrics(stats::MetricsRegistry& reg,
   reg.set(p + "bytes_saved", static_cast<double>(bytes_saved()));
 }
 
+void PositionTable::begin(size_t n, int bits) {
+  if (slots.empty() || n >= UINT32_MAX - next) {
+    slots.assign(size_t{1} << bits, 0);
+    next = 1;
+  }
+  base = next;
+  next += static_cast<uint32_t>(n);
+}
+
 BlockCodec::~BlockCodec() = default;
 
 void BlockCodec::encode(std::span<const uint8_t> raw,
                         std::vector<uint8_t>& out) const {
+  DAMKIT_CHECK_MSG(raw.size() <= kMaxFrameRawBytes,
+                   "codec input " << raw.size() << " exceeds the frame limit");
   out.clear();
   put_uvarint(out, raw.size());
   out.push_back(kModeTokens);
@@ -131,47 +164,61 @@ void BlockCodec::encode(std::span<const uint8_t> raw,
 }
 
 bool BlockCodec::decode(std::span<const uint8_t> frame,
-                        std::vector<uint8_t>& out) const {
+                        std::vector<uint8_t>& out,
+                        uint64_t max_raw_len) const {
   ++stats_.decode_calls;
-  out.clear();
   size_t pos = 0;
   uint64_t raw_len = 0;
   if (!get_uvarint(frame, pos, &raw_len)) return false;
+  if (raw_len > max_raw_len) return false;  // before any allocation
   if (pos >= frame.size()) return false;  // mode byte is always present
   const uint8_t mode = frame[pos++];
-  out.reserve(raw_len);
   if (mode == kModeRaw) {
     if (frame.size() - pos != raw_len) return false;  // exact: no trailing
-    out.assign(frame.begin() + static_cast<ptrdiff_t>(pos),
-               frame.begin() + static_cast<ptrdiff_t>(pos + raw_len));
+    out.assign(frame.begin() + static_cast<ptrdiff_t>(pos), frame.end());
     return true;
   }
   if (mode != kModeTokens) return false;
+  out.resize(raw_len);
+  uint8_t* const dst = out.data();
+  size_t produced = 0;
   // The stream is [lit][match]...[lit]: every match is followed by another
   // literal run, and the final run may be empty (the encoder always closes
   // with one).
   for (;;) {
     uint64_t lit_len = 0;
     if (!get_uvarint(frame, pos, &lit_len)) return false;
-    if (lit_len > raw_len - out.size() || frame.size() - pos < lit_len) {
+    if (lit_len > raw_len - produced || frame.size() - pos < lit_len) {
       return false;
     }
-    out.insert(out.end(), frame.begin() + static_cast<ptrdiff_t>(pos),
-               frame.begin() + static_cast<ptrdiff_t>(pos + lit_len));
+    if (lit_len != 0) std::memcpy(dst + produced, frame.data() + pos, lit_len);
     pos += lit_len;
-    if (out.size() == raw_len) return pos == frame.size();
+    produced += lit_len;
+    if (produced == raw_len) return pos == frame.size();
     uint64_t match_len = 0;
     uint64_t dist = 0;
     if (!get_uvarint(frame, pos, &match_len)) return false;
     if (!get_uvarint(frame, pos, &dist)) return false;
-    if (match_len == 0 || dist == 0 || dist > out.size() ||
-        match_len > raw_len - out.size()) {
+    if (match_len == 0 || dist == 0 || dist > produced ||
+        match_len > raw_len - produced) {
       return false;
     }
-    // Byte-at-a-time copy: overlapping matches (dist < match_len) replay
-    // their own output, run-length style.
-    size_t from = out.size() - dist;
-    for (uint64_t i = 0; i < match_len; ++i) out.push_back(out[from + i]);
+    uint8_t* const to = dst + produced;
+    const uint8_t* const from = to - dist;
+    if (dist == 1) {
+      std::memset(to, *from, match_len);  // a run of one byte
+    } else {
+      // An overlapping match (dist < match_len) repeats the `dist` bytes
+      // before it. Each copy reads only bytes already written and doubles
+      // the repeated prefix; a non-overlapping match is one copy.
+      size_t done = 0;
+      while (done < match_len) {
+        const size_t n = std::min<size_t>(match_len - done, dist + done);
+        std::memcpy(to + done, from, n);
+        done += n;
+      }
+    }
+    produced += match_len;
   }
 }
 
@@ -187,29 +234,28 @@ bool PrefixDeltaCodec::encode_tokens(std::span<const uint8_t> raw,
   constexpr size_t kMinMatch = 8;
   constexpr int kHashBits = 15;
   if (raw.size() < kMinMatch) return false;
-  std::vector<uint32_t> last(1u << kHashBits, 0);
-  std::vector<bool> seen(1u << kHashBits, false);
-  const uint8_t* base = raw.data();
-  const uint8_t* end = base + raw.size();
+  last_.begin(raw.size(), kHashBits);
+  const uint32_t base = last_.base;
+  const uint8_t* const data = raw.data();
+  const uint8_t* const end = data + raw.size();
   TokenWriter tokens(raw, out);
   size_t pos = 0;
   const size_t limit = raw.size() - kMinMatch;
   while (pos <= limit) {
-    const uint32_t h = hash8(base + pos, kHashBits);
-    const size_t candidate = last[h];
-    const bool have = seen[h];
-    last[h] = static_cast<uint32_t>(pos);
-    seen[h] = true;
-    if (have) {
-      const size_t len = match_length(base + pos, base + candidate, end);
+    uint32_t& slot = last_.slots[hash8(data + pos, kHashBits)];
+    const uint32_t candidate = slot;
+    slot = base + static_cast<uint32_t>(pos);
+    if (last_.holds(candidate)) {
+      const size_t from = candidate - base;
+      const size_t len = match_length(data + pos, data + from, end);
       if (len >= kMinMatch) {
-        tokens.emit_match(pos, len, pos - candidate);
+        tokens.emit_match(pos, len, pos - from);
+        if (len == raw.size() - pos) break;  // nothing left to search
         // Seed the table sparsely inside the match so the *next* record's
         // shared prefix still finds this one.
         for (size_t i = pos + 1; i + kMinMatch <= pos + len; i += kMinMatch) {
-          const uint32_t hi = hash8(base + i, kHashBits);
-          last[hi] = static_cast<uint32_t>(i);
-          seen[hi] = true;
+          last_.slots[hash8(data + i, kHashBits)] =
+              base + static_cast<uint32_t>(i);
         }
         pos += len;
         continue;
@@ -227,33 +273,45 @@ bool LzCodec::encode_tokens(std::span<const uint8_t> raw,
   constexpr int kHashBits = 15;
   constexpr int kMaxChain = 32;
   if (raw.size() < kMinMatch) return false;
-  constexpr uint32_t kNil = 0xffffffffu;
-  std::vector<uint32_t> head(1u << kHashBits, kNil);
-  std::vector<uint32_t> prev(raw.size(), kNil);
-  const uint8_t* base = raw.data();
-  const uint8_t* end = base + raw.size();
+  head_.begin(raw.size(), kHashBits);
+  if (prev_.size() < raw.size()) prev_.resize(raw.size());
+  const uint32_t base = head_.base;
+  const uint8_t* const data = raw.data();
+  const uint8_t* const end = data + raw.size();
+  // prev_[p] is written when p is inserted, before any chain can reach p,
+  // so stale entries from earlier calls are never read.
   const auto insert = [&](size_t p) {
-    const uint32_t h = hash4(base + p, kHashBits);
-    prev[p] = head[h];
-    head[h] = static_cast<uint32_t>(p);
+    uint32_t& slot = head_.slots[hash4(data + p, kHashBits)];
+    prev_[p] = slot;
+    slot = base + static_cast<uint32_t>(p);
   };
   TokenWriter tokens(raw, out);
   size_t pos = 0;
   const size_t limit = raw.size() - kMinMatch;
   while (pos <= limit) {
+    // The first candidate with the longest match wins. One that differs at
+    // byte best_len cannot beat the best, and nothing beats a match that
+    // reaches the end of the input; skipping either leaves the frame as a
+    // full walk of the chain would make it.
+    const size_t room = raw.size() - pos;
     size_t best_len = 0;
     size_t best_pos = 0;
-    uint32_t candidate = head[hash4(base + pos, kHashBits)];
-    for (int depth = 0; candidate != kNil && depth < kMaxChain; ++depth) {
-      const size_t len = match_length(base + pos, base + candidate, end);
+    uint32_t candidate = head_.slots[hash4(data + pos, kHashBits)];
+    for (int depth = 0; head_.holds(candidate) && depth < kMaxChain;
+         ++depth) {
+      const size_t from = candidate - base;
+      candidate = prev_[from];
+      if (data[from + best_len] != data[pos + best_len]) continue;
+      const size_t len = match_length(data + pos, data + from, end);
       if (len > best_len) {
         best_len = len;
-        best_pos = candidate;
+        best_pos = from;
+        if (best_len == room) break;
       }
-      candidate = prev[candidate];
     }
     if (best_len >= kMinMatch) {
       tokens.emit_match(pos, best_len, pos - best_pos);
+      if (best_len == room) break;  // nothing left to search or index
       const size_t stop = std::min(pos + best_len, limit + 1);
       for (size_t i = pos; i < stop; ++i) insert(i);
       pos += best_len;

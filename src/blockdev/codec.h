@@ -26,9 +26,19 @@
 //             the next 8 bytes), greedy extend. On sorted records this is
 //             byte-level prefix truncation: each key's longest match is
 //             its shared prefix with a recent neighbor. Cheap, weaker.
-//   kLz     — hash chains, multiple candidates, 4-byte minimum match.
+//   kLz     — hash chains, up to 32 candidates, 4-byte minimum match.
 //             Stronger ratio at more encode CPU (host CPU, not simulated
-//             time — the DAM has no CPU term).
+//             time — the DAM has no CPU term). Matches are compared 8
+//             bytes at a time, a candidate that cannot beat the current
+//             best is skipped on one byte, and the walk stops at a match
+//             that reaches the end of the input (a padded node's zero
+//             tail costs one comparison pass, not 32). What remains is
+//             one hash-chain lookup per literal byte; measured host cost
+//             per KiB is in EXPERIMENTS.md ("Block compression").
+//
+// Both searches keep their hash tables in the codec between calls, so an
+// encode allocates and clears nothing; a codec is thread-compatible, not
+// thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +68,10 @@ CodecKind resolve_codec_kind(CodecKind kind);
 /// The three concrete kinds, in declaration order (sweep support).
 inline constexpr CodecKind kAllCodecKinds[] = {
     CodecKind::kIdentity, CodecKind::kPrefix, CodecKind::kLz};
+
+/// The most raw bytes a frame may hold: the match searches index input
+/// positions in 32 bits. decode() rejects larger headers by default.
+inline constexpr uint64_t kMaxFrameRawBytes = uint64_t{1} << 30;
 
 // ---------------------------------------------------------------------------
 // LEB128 varints — the frame and token framing above.
@@ -126,14 +140,18 @@ class BlockCodec {
   virtual CodecKind kind() const = 0;
   std::string_view name() const { return codec_kind_name(kind()); }
 
-  /// Encode `raw` into a self-describing frame (out is replaced). Never
-  /// fails: input the search cannot shrink is framed verbatim.
+  /// Encode `raw` (at most kMaxFrameRawBytes) into a self-describing
+  /// frame (out is replaced). Never fails: input the search cannot shrink
+  /// is framed verbatim.
   void encode(std::span<const uint8_t> raw, std::vector<uint8_t>& out) const;
 
-  /// Decode a frame back to the exact raw bytes (out is replaced). False
-  /// when the frame is malformed or truncated (e.g. a torn write) — the
-  /// caller surfaces kCorruption instead of aborting.
-  bool decode(std::span<const uint8_t> frame, std::vector<uint8_t>& out) const;
+  /// Decode a frame back to the exact raw bytes (out is resized to them).
+  /// False when the frame is malformed or truncated (e.g. a torn write) or
+  /// its header declares more than `max_raw_len` raw bytes — the caller
+  /// surfaces kCorruption instead of aborting. The bound is checked before
+  /// anything is allocated; `out` is unspecified after a false return.
+  bool decode(std::span<const uint8_t> frame, std::vector<uint8_t>& out,
+              uint64_t max_raw_len = kMaxFrameRawBytes) const;
 
   const CodecStats& stats() const { return stats_; }
   void clear_stats() { stats_.clear(); }
@@ -147,6 +165,20 @@ class BlockCodec {
 
  private:
   mutable CodecStats stats_;
+};
+
+/// A hash-bucket → latest-input-position table that encode() calls reuse.
+/// Slots hold `base + position`; begin() moves `base` past every value
+/// stored by earlier calls, so stale slots read as empty (below `base`)
+/// without clearing the table.
+struct PositionTable {
+  std::vector<uint32_t> slots;
+  uint32_t base = 0;
+  uint32_t next = 0;  // base of the next call
+
+  /// Start a call over `n` input positions with 2^bits slots.
+  void begin(size_t n, int bits);
+  bool holds(uint32_t slot) const { return slot >= base; }
 };
 
 /// Frames verbatim (mode 0 always). The stores bypass codecs of kind
@@ -170,6 +202,9 @@ class PrefixDeltaCodec final : public BlockCodec {
  protected:
   bool encode_tokens(std::span<const uint8_t> raw,
                      std::vector<uint8_t>& out) const override;
+
+ private:
+  mutable PositionTable last_;  // 8-byte hash → latest position
 };
 
 /// Hash-chain LZ77 with a 4-byte minimum match — the stronger page codec.
@@ -180,6 +215,10 @@ class LzCodec final : public BlockCodec {
  protected:
   bool encode_tokens(std::span<const uint8_t> raw,
                      std::vector<uint8_t>& out) const override;
+
+ private:
+  mutable PositionTable head_;         // 4-byte hash → chain head
+  mutable std::vector<uint32_t> prev_;  // position → next chain slot
 };
 
 /// Build a codec of `kind` (kDefault is resolved first). Never null.

@@ -81,6 +81,7 @@ void SSTableBuilder::add(Entry entry) {
 
 void SSTableBuilder::flush_block() {
   if (block_.empty()) return;
+  max_block_raw_ = std::max<uint64_t>(max_block_raw_, block_.size());
   if (codec_ != nullptr) {
     // Blocks are framed individually so a point read still costs exactly
     // one (now smaller) block IO; the index addresses physical extents.
@@ -111,6 +112,7 @@ StatusOr<SSTableRef> SSTableBuilder::try_finish(
   table->dev_ = dev_;
   table->arena_ = arena_;
   table->codec_ = codec_;
+  table->max_block_raw_ = static_cast<uint32_t>(max_block_raw_);
   table->entry_count_ = count_;
   table->sequence_ = sequence_;
   table->min_key_ = std::move(first_key_);
@@ -186,7 +188,7 @@ Status SSTable::try_fetch_block_raw(size_t block_idx, sim::IoContext& io,
       io, policy, counters, /*retry_corruption=*/false, [&] {
         return io.read_checked(device_offset_ + ie.offset, buf);
       }));
-  if (!codec_->decode(buf, *raw)) {
+  if (!codec_->decode(buf, *raw, max_block_raw_)) {
     return Status::corruption("SSTable block " + std::to_string(block_idx) +
                               ": stored codec frame failed to decode");
   }
@@ -313,7 +315,7 @@ void SSTable::Iterator::load_blocks(size_t first_block) {
       const std::span<const uint8_t> frame(buf.data() +
                                                (ie.offset - first.offset),
                                            ie.length);
-      if (!table_->codec_->decode(frame, raw)) {
+      if (!table_->codec_->decode(frame, raw, table_->max_block_raw_)) {
         status_ = Status::corruption(
             "SSTable block " + std::to_string(b) +
             ": stored codec frame failed to decode");

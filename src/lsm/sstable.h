@@ -92,6 +92,7 @@ class SSTableBuilder {
   std::vector<uint8_t> data_;    // completed (possibly compressed) blocks
   std::vector<uint8_t> block_;   // current block under construction (raw)
   std::vector<uint8_t> enc_;     // codec frame staging
+  uint64_t max_block_raw_ = 0;   // largest raw block flushed so far
   struct IndexEntry {
     std::string first_key;
     uint64_t offset;  // within the table image
@@ -224,6 +225,11 @@ class SSTable {
   std::vector<IndexEntry> index_;
   BloomFilter bloom_{0};
   mutable bool released_ = false;
+  // Largest raw block the builder framed: a stored frame that declares
+  // more is corrupt and fails to decode before it allocates. 32 bits (a
+  // frame holds at most kMaxFrameRawBytes), so it fits the padding after
+  // released_ and adds nothing to each table's allocation.
+  uint32_t max_block_raw_ = 0;
 };
 
 }  // namespace damkit::lsm
