@@ -1,6 +1,6 @@
-// Shared helpers for the table/figure reproduction binaries: a tiny flag
-// parser (--quick scales everything down; --seed sets determinism) and a
-// banner printer so every bench states what it reproduces.
+// Shared helpers for the bench binaries: a tiny flag parser (--quick
+// scales everything down; --seed sets determinism) and a banner printer
+// so every bench states what it reproduces.
 #pragma once
 
 #include <cstdio>
@@ -31,11 +31,6 @@ struct BenchArgs {
   /// kDefault keeps the factory's resolution (DAMKIT_CODEC env, else
   /// identity); --codec identity|prefix|lz overrides it.
   blockdev::CodecKind codec = blockdev::CodecKind::kDefault;
-  /// Concurrent clients for benches that drive the serving layer
-  /// (run_concurrent); 1 keeps the sequential path.
-  uint64_t clients = 1;
-  /// Per-client admission depth for the serving layer.
-  uint64_t inflight = 4;
   /// NVMe submission-queue depth override for MQ-device benches
   /// (--queue-depth; 0 keeps the device profile's default).
   int queue_depth = 0;
@@ -57,67 +52,83 @@ struct BenchArgs {
   }
 };
 
+inline void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--quick] [--seed N] [--csv-prefix P] [--threads N] "
+               "[--metrics-json FILE] [--codec identity|prefix|lz] "
+               "[--queue-depth N] [--completion-mode polling|interrupt] "
+               "[--workload %s]\n",
+               argv0, kv::workload_preset_names());
+}
+
+[[noreturn]] inline void usage_error(const char* argv0,
+                                     const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  print_usage(stderr, argv0);
+  std::exit(2);
+}
+
+/// Parses the shared bench flags. An unknown flag, a flag missing its
+/// value, or a bad value prints the usage text and exits 2, so a typo
+/// cannot run a bench on defaults.
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* flag = argv[i];
+    const auto is = [flag](const char* name) {
+      return std::strcmp(flag, name) == 0;
+    };
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        usage_error(argv[0], std::string(flag) + " wants a value");
+      }
+      return argv[++i];
+    };
+    if (is("--quick")) {
       args.quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--csv-prefix") == 0 && i + 1 < argc) {
-      args.csv_prefix = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+    } else if (is("--help")) {
+      print_usage(stdout, argv[0]);
+      std::exit(0);
+    } else if (is("--seed")) {
+      args.seed = std::strtoull(value(), nullptr, 10);
+    } else if (is("--csv-prefix")) {
+      args.csv_prefix = value();
+    } else if (is("--threads")) {
+      args.threads = static_cast<int>(std::strtol(value(), nullptr, 10));
       if (args.threads < 1) args.threads = 1;
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      args.metrics_json = argv[++i];
-    } else if (std::strcmp(argv[i], "--codec") == 0 && i + 1 < argc) {
-      const auto parsed = blockdev::parse_codec_kind(argv[++i]);
+    } else if (is("--metrics-json")) {
+      args.metrics_json = value();
+    } else if (is("--codec")) {
+      const auto parsed = blockdev::parse_codec_kind(value());
       if (!parsed.has_value()) {
-        std::fprintf(stderr, "unknown --codec (want identity|prefix|lz)\n");
-        std::exit(2);
+        usage_error(argv[0], "unknown --codec (want identity|prefix|lz)");
       }
       args.codec = *parsed;
-    } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      args.clients = std::strtoull(argv[++i], nullptr, 10);
-      if (args.clients < 1) args.clients = 1;
-    } else if (std::strcmp(argv[i], "--inflight") == 0 && i + 1 < argc) {
-      args.inflight = std::strtoull(argv[++i], nullptr, 10);
-      if (args.inflight < 1) args.inflight = 1;
-    } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
-      args.queue_depth = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+    } else if (is("--queue-depth")) {
+      args.queue_depth = static_cast<int>(std::strtol(value(), nullptr, 10));
       if (args.queue_depth < 1) {
-        std::fprintf(stderr, "--queue-depth wants a positive integer\n");
-        std::exit(2);
+        usage_error(argv[0], "--queue-depth wants a positive integer");
       }
-    } else if (std::strcmp(argv[i], "--completion-mode") == 0 && i + 1 < argc) {
-      const char* mode = argv[++i];
+    } else if (is("--completion-mode")) {
+      const char* mode = value();
       if (std::strcmp(mode, "polling") == 0) {
         args.completion_mode = sim::CompletionMode::kPolling;
       } else if (std::strcmp(mode, "interrupt") == 0) {
         args.completion_mode = sim::CompletionMode::kInterrupt;
       } else {
-        std::fprintf(stderr,
-                     "unknown --completion-mode (want polling|interrupt)\n");
-        std::exit(2);
+        usage_error(argv[0],
+                    "unknown --completion-mode (want polling|interrupt)");
       }
       args.has_completion_mode = true;
-    } else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc) {
-      args.workload = argv[++i];
+    } else if (is("--workload")) {
+      args.workload = value();
       args.workload_spec = kv::make_workload_preset(args.workload);
       if (!args.workload_spec.has_value()) {
-        std::fprintf(stderr, "unknown --workload (want %s)\n",
-                     kv::workload_preset_names());
-        std::exit(2);
+        usage_error(argv[0], std::string("unknown --workload (want ") +
+                                 kv::workload_preset_names() + ")");
       }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--quick] [--seed N] [--csv-prefix P] [--threads N] "
-          "[--metrics-json FILE] [--codec identity|prefix|lz] "
-          "[--clients K] [--inflight D] [--queue-depth N] "
-          "[--completion-mode polling|interrupt] [--workload %s]\n",
-          argv[0], kv::workload_preset_names());
-      std::exit(0);
+    } else {
+      usage_error(argv[0], std::string("unknown flag ") + flag);
     }
   }
   // The default prefix points into results/; create the directory so a

@@ -168,6 +168,7 @@ SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
 
     // Random point queries over loaded keys.
     {
+      dev.clear_stats();
       const sim::SimTime before = io.now();
       for (uint64_t q = 0; q < config.queries; ++q) {
         const uint64_t id = rng.uniform(config.items);
@@ -177,6 +178,11 @@ SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
       }
       point.query_ms = sim::to_seconds(io.now() - before) * 1e3 /
                        static_cast<double>(config.queries);
+      const sim::DeviceStats& st = dev.stats();
+      point.query_io_bytes = st.reads == 0
+                                 ? 0.0
+                                 : static_cast<double>(st.bytes_read) /
+                                       static_cast<double>(st.reads);
     }
 
     // Random inserts (overwrites of uniform keys, the paper's procedure).

@@ -110,6 +110,7 @@ struct SweepConfig {
 struct SweepPoint {
   uint64_t node_bytes = 0;
   double query_ms = 0.0;    // mean simulated milliseconds per point query
+  double query_io_bytes = 0.0;  // mean bytes per device read (queries)
   double insert_ms = 0.0;   // mean simulated milliseconds per insert
   double write_amp = 0.0;   // device bytes written / logical bytes (inserts)
   double cache_hit_rate = 0.0;

@@ -154,6 +154,27 @@ TEST(SweepTest, BeTreeLessSensitiveToNodeSizeThanBTree) {
   EXPECT_LT(betree_growth, btree_growth);
 }
 
+TEST(SweepTest, OptBeTreeQueryReadsAreSubNode) {
+  // Theorem 9's mechanism: a standard Bε-tree query reads whole nodes,
+  // the optimized tree reads one B/F buffer segment, pivots or basement.
+  SweepConfig cfg;
+  cfg.kind = kv::EngineKind::kBeTree;
+  cfg.node_sizes = {1 * kMiB};
+  cfg.items = 100000;  // data > cache, so queries reach the device
+  cfg.queries = 60;
+  cfg.inserts = 10;
+  const auto standard = run_nodesize_sweep(sim::testbed_hdd_profile(), cfg);
+  cfg.kind = kv::EngineKind::kOptBeTree;
+  const auto optimized = run_nodesize_sweep(sim::testbed_hdd_profile(), cfg);
+
+  const double std_io = standard.points[0].query_io_bytes;
+  const double opt_io = optimized.points[0].query_io_bytes;
+  EXPECT_GT(std_io, 0.5 * static_cast<double>(kMiB));
+  EXPECT_LE(std_io, static_cast<double>(kMiB));
+  EXPECT_GT(opt_io, 0.0);
+  EXPECT_LT(opt_io * 16, std_io);
+}
+
 TEST(WriteAmpTest, BTreeAmpGrowsBeTreeStaysLow) {
   WriteAmpConfig cfg;
   cfg.node_sizes = {16 * kKiB, 128 * kKiB};

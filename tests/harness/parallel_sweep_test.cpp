@@ -47,6 +47,9 @@ TEST(ParallelSweepTest, NodesizeSweepIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_EQ(serial.points[i].node_bytes, parallel.points[i].node_bytes);
     EXPECT_EQ(serial.points[i].query_ms, parallel.points[i].query_ms) << i;
+    EXPECT_EQ(serial.points[i].query_io_bytes,
+              parallel.points[i].query_io_bytes)
+        << i;
     EXPECT_EQ(serial.points[i].insert_ms, parallel.points[i].insert_ms) << i;
     EXPECT_EQ(serial.points[i].write_amp, parallel.points[i].write_amp) << i;
     EXPECT_EQ(serial.points[i].cache_hit_rate,
